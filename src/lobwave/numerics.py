@@ -39,30 +39,24 @@ class IntegrationResult:
     du: list = field(default_factory=list)
     n_accepted: int = 0
     n_rejected: int = 0
-    max_err_est: float = 0.0
 
 
-# Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
+# Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner, Table II.5.2), one
+# name per nonzero entry so the step below runs on scalar locals.
+# c6 = c7 = 1.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+# fifth-order weights (b2 = b7 = 0); they are also row 7 of A, so stage 7
+# is evaluated at the fifth-order solution (first same as last)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# embedded fourth-order weights (b2 = 0)
+_BH1, _BH3, _BH4, _BH5, _BH6, _BH7 = (5179 / 57600, 7571 / 16695, 393 / 640,
+                                      -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
@@ -83,21 +77,22 @@ def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
         if (zo - z0) * direction < -1e-12 or (z1 - zo) * direction < -1e-12:
             raise DomainError(f"output point {zo} outside span")
 
-    def rhs(z, u, v):
-        return v, (coeff(z) - omega2) * u
-
     result = IntegrationResult()
     u = complex(init[0])
     v = complex(init[1])
     z = z0
+    # q = coeff(z) - omega2 at the current point, carried from stage 7 of
+    # the last accepted step
+    q = coeff(z0) - omega2
     # velocity scale for the error norm: rates are O(sqrt(|coeff - omega2|))
-    rate0 = math.sqrt(abs(coeff(z0) - omega2)) + math.sqrt(abs(omega2)) + 1e-30
+    rate0 = math.sqrt(abs(q)) + math.sqrt(abs(omega2)) + 1e-30
     h = direction * min(0.1, 0.1 / rate0)
     out_idx = 0
     n_out = len(outputs)
+    abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
 
     while out_idx < n_out:
-        if result.n_accepted + result.n_rejected > tol.max_steps:
+        if result.n_accepted + result.n_rejected > max_steps:
             raise AccuracyError("integrate_linear_ode2: step budget exhausted")
         target = outputs[out_idx]
         if (target - z) * direction <= 1e-14 * max(1.0, abs(z)):
@@ -108,30 +103,44 @@ def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
             continue
         if (z + h - target) * direction > 0.0:
             h = target - z
-        # one embedded step
-        ku = [0.0] * 7
-        kv = [0.0] * 7
-        ku[0], kv[0] = rhs(z, u, v)
-        for i in range(1, 7):
-            ai = _DP_A[i]
-            du = sum(ai[j] * ku[j] for j in range(i))
-            dv = sum(ai[j] * kv[j] for j in range(i))
-            ku[i], kv[i] = rhs(z + _DP_C[i] * h, u + h * du, v + h * dv)
-        u5 = u + h * sum(b * k for b, k in zip(_DP_B5, ku))
-        v5 = v + h * sum(b * k for b, k in zip(_DP_B5, kv))
-        u4 = u + h * sum(b * k for b, k in zip(_DP_B4, ku))
-        v4 = v + h * sum(b * k for b, k in zip(_DP_B4, kv))
-        vscale = math.sqrt(abs(coeff(z) - omega2)) + 1e-30
+        # one embedded step; stage i has ku_i = v_i and kv_i = q_i u_i
+        kv1 = q * u
+        u2 = u + h * (_A21 * v)
+        v2 = v + h * (_A21 * kv1)
+        kv2 = (coeff(z + _C2 * h) - omega2) * u2
+        u3 = u + h * (_A31 * v + _A32 * v2)
+        v3 = v + h * (_A31 * kv1 + _A32 * kv2)
+        kv3 = (coeff(z + _C3 * h) - omega2) * u3
+        u4 = u + h * (_A41 * v + _A42 * v2 + _A43 * v3)
+        v4 = v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3)
+        kv4 = (coeff(z + _C4 * h) - omega2) * u4
+        u5 = u + h * (_A51 * v + _A52 * v2 + _A53 * v3 + _A54 * v4)
+        v5 = v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4)
+        kv5 = (coeff(z + _C5 * h) - omega2) * u5
+        u6 = u + h * (_A61 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
+        v6 = v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4
+                      + _A65 * kv5)
+        q7 = coeff(z + h) - omega2  # stages 6 and 7 share z + h
+        kv6 = q7 * u6
+        u_hi = u + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
+        v_hi = v + h * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5
+                        + _B6 * kv6)
+        kv7 = q7 * u_hi
+        u_lo = u + h * (_BH1 * v + _BH3 * v3 + _BH4 * v4 + _BH5 * v5
+                        + _BH6 * v6 + _BH7 * v_hi)
+        v_lo = v + h * (_BH1 * kv1 + _BH3 * kv3 + _BH4 * kv4 + _BH5 * kv5
+                        + _BH6 * kv6 + _BH7 * kv7)
+        vscale = math.sqrt(abs(q)) + 1e-30
         # local tolerances carry a safety margin so the accumulated global
         # error stays at the requested level
-        sc_u = 0.1 * (tol.abs_tol + tol.rel_tol * max(abs(u), abs(u5)))
-        sc_v = 0.1 * (tol.abs_tol + tol.rel_tol * max(abs(v), abs(v5)))
-        err = max(abs(u5 - u4) / sc_u, abs(v5 - v4) / (sc_v + sc_u * vscale))
+        sc_u = 0.1 * (abs_tol + rel_tol * max(abs(u), abs(u_hi)))
+        sc_v = 0.1 * (abs_tol + rel_tol * max(abs(v), abs(v_hi)))
+        err = max(abs(u_hi - u_lo) / sc_u,
+                  abs(v_hi - v_lo) / (sc_v + sc_u * vscale))
         if err <= 1.0:
             z = z + h
-            u, v = u5, v5
+            u, v, q = u_hi, v_hi, q7
             result.n_accepted += 1
-            result.max_err_est = max(result.max_err_est, err * tol.rel_tol)
         else:
             result.n_rejected += 1
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0

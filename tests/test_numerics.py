@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobwave import numerics as nm
 from lobwave.errors import ConditioningError, DomainError
 from lobwave.numerics import (
     ToleranceSpec,
@@ -26,6 +27,24 @@ def test_tolerance_spec_validation():
         ToleranceSpec(abs_tol=-1.0)
     with pytest.raises(DomainError):
         ToleranceSpec(max_steps=0)
+
+
+def test_dormand_prince_tableau():
+    # row sums of A equal c (c6 = c7 = 1, row 7 being b5), and both
+    # weight sets sum to 1
+    rows = (
+        (nm._C2, (nm._A21,)),
+        (nm._C3, (nm._A31, nm._A32)),
+        (nm._C4, (nm._A41, nm._A42, nm._A43)),
+        (nm._C5, (nm._A51, nm._A52, nm._A53, nm._A54)),
+        (1.0, (nm._A61, nm._A62, nm._A63, nm._A64, nm._A65)),
+    )
+    for c, row in rows:
+        assert math.fsum(row) == pytest.approx(c, abs=1e-15)
+    b5 = (nm._B1, nm._B3, nm._B4, nm._B5, nm._B6)
+    b4 = (nm._BH1, nm._BH3, nm._BH4, nm._BH5, nm._BH6, nm._BH7)
+    assert math.fsum(b5) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(b4) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cosine_oscillator():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobwave import scattering
 from lobwave.errors import ConditioningError, DomainError
 from lobwave.modes import ModeParams
+from lobwave.numerics import integrate_linear_ode2
 from lobwave.scattering import (
     amplitudes_analytic,
     amplitudes_fit,
@@ -190,9 +192,25 @@ def test_reflection_scale_invariance():
 
 
 def test_numeric_oracle_decaying():
-    for (w, k) in ((2.0, 1.0), (10.0, 1.0), (1.0, 5.0)):
+    cells = [(2.0, 1.0), (10.0, 1.0), (1.0, 5.0)]
+    cells += [(w, k) for w in (0.05, 2.5, 20.0) for k in (0.2, 1.0, 5.0)]
+    for (w, k) in cells:
         r = reflection_numeric_oracle(ModeParams(w, k, 0.0))
-        assert abs(r - 1.0) < 1e-6
+        assert abs(r - 1.0) < 1e-10, (w, k, r)
+
+
+def test_numeric_oracle_decaying_step_count(monkeypatch):
+    steps = []
+
+    def counting(*args, **kwargs):
+        res = integrate_linear_ode2(*args, **kwargs)
+        steps.append(res.n_accepted + res.n_rejected)
+        return res
+
+    monkeypatch.setattr(scattering, "integrate_linear_ode2", counting)
+    reflection_numeric_oracle(ModeParams(2.0, 1.0, 0.0))
+    assert len(steps) == 1
+    assert steps[0] <= 5000
 
 
 def test_numeric_oracle_growing():
