@@ -14,47 +14,23 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
+from .checks import CHECKS
 from .errors import LobwaveError
-from .modes import (
-    BasisBranch,
-    ModeParams,
-    amplitudes_at,
-    eval_G,
-    heun_form_residual,
-    maxwell_residual_firstorder,
-    maxwell_residual_matrix,
-    plane_wave_amplitudes,
-    plane_wave_special,
-)
+from .modes import BasisBranch, ModeParams, eval_G, plane_wave_special
 from .scattering import (
     amplitudes_analytic,
-    neumann_audit,
     penetration_depth,
     reflection,
     schrodinger_potential,
-    turning_point,
 )
-from .specfun import gamma_modulus_sq, log_gamma, wronskian_IK
 
 SCHEMA_ID = "lobwave/1"
 
 _BRANCH_NAMES = {b.value: b for b in BasisBranch}
-
-
-@dataclass
-class RunConfig:
-    """Validated, merged settings of one command invocation."""
-
-    command: str
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
 
 
 def _fmt(x) -> str:
@@ -264,128 +240,8 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _check_geometry_roundtrip():
-    rng = np.random.default_rng(20260823)
-    worst = 0.0
-    for _ in range(200):
-        x, y = rng.uniform(-3.0, 3.0, 2)
-        z = float(rng.uniform(-4.0, 4.0))
-        p = geometry.QuasiCartesian(float(x), float(y), z)
-        u = geometry.to_embedding(p)
-        back = geometry.poincare_to_quasi(geometry.embedding_to_poincare(u))
-        worst = max(worst, abs(back.x - p.x), abs(back.y - p.y),
-                    abs(back.z - p.z))
-    return worst
-
-
-def _check_hyperboloid():
-    rng = np.random.default_rng(20260823)
-    worst = 0.0
-    for _ in range(200):
-        x, y = rng.uniform(-3.0, 3.0, 2)
-        z = float(rng.uniform(-4.0, 4.0))
-        u = geometry.to_embedding(geometry.QuasiCartesian(float(x), float(y), z))
-        worst = max(worst, abs(u.constraint_defect()) / max(1.0, u.u0 * u.u0))
-    return worst
-
-
-def _check_maxwell(which):
-    p = ModeParams(2.0, 1.0, 1.0)
-    worst = 0.0
-    for br in BasisBranch:
-        for z in np.linspace(-4.0, 1.0, 11):
-            amps = amplitudes_at(br, p, float(z))
-            if which == "firstorder":
-                worst = max(worst, maxwell_residual_firstorder(amps, p))
-            else:
-                worst = max(worst, maxwell_residual_matrix(amps, p))
-    return worst
-
-
-def _check_planewave():
-    rng = np.random.default_rng(20260823)
-    worst = 0.0
-    p = ModeParams(2.0, 0.0, 0.0)
-    for _ in range(100):
-        t, z = rng.uniform(-3.0, 3.0, 2)
-        for s in (+1, -1):
-            fv = plane_wave_special(s, 2.0, float(t), float(z))
-            E, B = np.array(fv.E), np.array(fv.B)
-            cr = np.cross(E, B)
-            cr = cr / np.linalg.norm(cr)
-            worst = max(worst, float(np.max(np.abs(cr - [0.0, 0.0, s]))))
-            amps = plane_wave_amplitudes(s, 2.0, float(z))
-            worst = max(worst, maxwell_residual_firstorder(amps, p))
-    return worst
-
-
-def _check_heun():
-    p = ModeParams(2.0, 1.0, 1.0)
-    return heun_form_residual(BasisBranch.HANKEL1, p, np.linspace(-4.0, 0.0, 21))
-
-
-def _check_gamma():
-    worst = 0.0
-    for w in (0.1, 1.0, 5.0, 20.0):
-        direct = abs(complex(np.exp(complex(log_gamma(1.0 + 1j * w))
-                                    + complex(log_gamma(1.0 - 1j * w)))))
-        closed = gamma_modulus_sq(w)
-        worst = max(worst, abs(direct - closed) / closed)
-    return worst
-
-
-def _check_wronskian():
-    worst = 0.0
-    for w in np.linspace(0.5, 10.0, 5):
-        for X in np.linspace(0.5, 30.0, 5):
-            val = wronskian_IK(float(w), float(X))
-            worst = max(worst, abs(val + 1.0 / X) * X)
-    return worst
-
-
-def _check_mirror():
-    worst = 0.0
-    for (w, k) in ((2.0, 1.0), (5.0, 0.2), (0.5, 5.0)):
-        r = reflection(BasisBranch.HANKEL1, ModeParams(w, k, 0.0),
-                       method="fitted").R
-        worst = max(worst, abs(r - 1.0))
-    return worst
-
-
-def _check_turning():
-    rng = np.random.default_rng(20260823)
-    worst = 0.0
-    for _ in range(50):
-        w = float(rng.uniform(0.3, 20.0))
-        k = float(rng.uniform(0.1, 5.0))
-        info = turning_point(ModeParams(w, k, 0.0))
-        worst = max(worst, abs(info.U0 * math.exp(2.0 * info.z0) - w * w) / (w * w))
-    return worst
-
-
-def _check_neumann_flag():
-    aud = neumann_audit(BasisBranch.NEUMANN_PLUS, ModeParams(1.0, 1.0, 0.0))
-    return 0.0 if aud.discrepancy_flag else 1.0
-
-
-_VERIFY_CHECKS = (
-    ("geometry_roundtrip", _check_geometry_roundtrip, 1e-10),
-    ("hyperboloid_constraint", _check_hyperboloid, 1e-12),
-    ("maxwell_firstorder", lambda: _check_maxwell("firstorder"), 1e-8),
-    ("maxwell_matrix", lambda: _check_maxwell("matrix"), 1e-8),
-    ("planewave", _check_planewave, 1e-12),
-    ("heun_form", _check_heun, 1e-5),
-    ("gamma_identity", _check_gamma, 1e-12),
-    ("wronskian", _check_wronskian, 1e-9),
-    ("reflection_mirror", _check_mirror, 1e-6),
-    ("turning_point", _check_turning, 1e-12),
-    ("neumann_discrepancy_flag", _check_neumann_flag, 0.5),
-)
-
-
 def cmd_verify(args) -> int:
-    selected = [(n, f, t) for n, f, t in _VERIFY_CHECKS
-                if args.only is None or args.only in n]
+    selected = [c for c in CHECKS if args.only is None or args.only in c.name]
     if not selected:
         raise LobwaveError(f"--only {args.only!r} matches no check")
     checks = []
@@ -404,40 +260,43 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_CONFIGURABLE = {
-    "omega", "a", "b", "branch", "zmin", "zmax", "points", "format",
-    "sign", "tmin", "tmax", "tpoints", "zpoints", "omegas", "kappas",
-    "method", "k1", "k2", "rho", "c", "z", "only", "tolerance", "out",
+# configurable options that take a string; the others take a number
+_CONFIG_STRINGS = {
+    "branch", "format", "sign", "omegas", "kappas", "method", "only", "out",
+}
+_CONFIGURABLE = _CONFIG_STRINGS | {
+    "omega", "a", "b", "zmin", "zmax", "points", "tmin", "tmax", "tpoints",
+    "zpoints", "k1", "k2", "rho", "c", "z", "tolerance",
 }
 
 
-def _apply_config(args):
-    """Overlay file values under explicit flags: flags > config > defaults."""
-    if not getattr(args, "config", None):
-        return
+def _config_tokens(args):
+    """`--key=value` tokens for the config-file keys this command has.
+
+    Parsed ahead of the command line, they get argparse's conversions
+    and checks, and an explicit flag overrides them: flags > config >
+    defaults.  Keys of other commands are ignored.
+    """
     with open(args.config, "r", encoding="utf-8") as fh:
-        loaded = json.load(fh)
+        try:
+            loaded = json.load(fh)
+        except ValueError as exc:
+            raise LobwaveError(f"--config: {exc}") from exc
     if not isinstance(loaded, dict):
         raise LobwaveError("--config must hold a JSON object")
     unknown = set(loaded) - _CONFIGURABLE
     if unknown:
         raise LobwaveError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    tokens = []
     for key, value in loaded.items():
         if not hasattr(args, key):
             continue
-        if key in args.explicit_flags:
-            continue
-        setattr(args, key, value)
-
-
-def _explicit_flags(argv):
-    """Destinations named on the command line; every configurable option
-    is spelled --<key>, so the tokens identify them directly."""
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0])
-    return explicit
+        expected = str if key in _CONFIG_STRINGS else (int, float)
+        if isinstance(value, bool) or not isinstance(value, expected):
+            kind = "string" if expected is str else "number"
+            raise LobwaveError(f"config key {key!r} must be a JSON {kind}")
+        tokens.append(f"--{key}={value}")
+    return tokens
 
 
 def _add_common(sub):
@@ -535,16 +394,14 @@ def main(argv=None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(tokens)
+        if args.config:
+            # the command is the first token: the top-level parser has no options
+            args = parser.parse_args(
+                [args.command, *_config_tokens(args), *tokens[1:]])
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.explicit_flags = _explicit_flags(tokens)
-    try:
-        _apply_config(args)
-        return args.func(args)
-    except LobwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LobwaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ __all__ = [
     "MaxwellMatrices",
     "MAXWELL_MATRICES",
     "eval_G",
-    "eval_G_deriv",
     "F_from_G",
     "amplitudes_at",
     "plane_wave_amplitudes",
@@ -136,14 +135,6 @@ def eval_G(branch: BasisBranch, p: ModeParams, z: float):
     return g1, g2
 
 
-def eval_G_deriv(g1: complex, g2: complex, p: ModeParams, z: float):
-    """z-derivatives of (G1, G2) from the first-order pair system."""
-    X = p.kappa * math.exp(z)
-    dg1 = p.omega * g2
-    dg2 = (X * X - p.omega * p.omega) / p.omega * g1
-    return dg1, dg2
-
-
 def F_from_G(g1: complex, g2: complex, p: ModeParams):
     """Rotate (G1, G2) into (F1, F2); norm-preserving, inverse is transpose."""
     _require_kappa(p)
@@ -206,10 +197,13 @@ def _deriv_stack(amps: ModeAmplitudes, p: ModeParams):
         dF2 = -p.omega * amps.F1
         ez = math.exp(amps.z)
         return ez * (amps.F1 + dF1), ez * (amps.F2 + dF2), 0.0 + 0.0j
-    dg1, dg2 = eval_G_deriv(amps.G1, amps.G2, p, amps.z)
+    # G1' = omega G2 and G2' = (X^2 - omega^2) / omega G1, X = kappa e^z
+    ez = math.exp(amps.z)
+    X = p.kappa * ez
+    dg1 = p.omega * amps.G2
+    dg2 = (X * X - p.omega * p.omega) / p.omega * amps.G1
     dF1 = (p.b * dg1 + p.a * dg2) / p.kappa
     dF2 = (-p.a * dg1 + p.b * dg2) / p.kappa
-    ez = math.exp(amps.z)
     e2z = ez * ez
     df3 = (e2z / p.omega) * (
         2.0 * (-1j * p.b * amps.F1 + 1j * p.a * amps.F2)

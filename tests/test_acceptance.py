@@ -1,247 +1,110 @@
 """Acceptance gate: one test per release criterion.
 
-Each test prints a single PASS/FAIL line with the measured quantity so
-the suite output doubles as the acceptance report.
+Criteria 01-11 run the checks of `lobwave.checks.CHECKS`, each check in
+exactly one criterion; 12 runs `lobwave verify` itself.  Each check
+prints a single PASS/FAIL line with its measured value, so the suite
+output doubles as the acceptance report.
 """
 
 import json
 import math
 import time
 
-import numpy as np
-
-from lobwave.geometry import (
-    QuasiCartesian,
-    embedding_to_poincare,
-    poincare_to_quasi,
-    to_embedding,
-)
-from lobwave.modes import (
-    BasisBranch,
-    ModeParams,
-    amplitudes_at,
-    eval_G,
-    heun_form_residual,
-    maxwell_residual_firstorder,
-    maxwell_residual_matrix,
-    plane_wave_amplitudes,
-    plane_wave_special,
-)
-from lobwave.numerics import ToleranceSpec, integrate_linear_ode2
-from lobwave.scattering import (
-    envelope_crossing,
-    neumann_audit,
-    reflection,
-    turning_point,
-)
-from lobwave.specfun import (
-    gamma_modulus_sq,
-    log_gamma,
-    recurrence_shift,
-    wronskian_IK,
-)
+from lobwave.checks import CHECKS
 from lobwave.cli import main
+
+# release criterion -> the registry checks that make it up
+CRITERIA = {
+    1: ("reflection_mirror",),
+    2: ("growing_branch_reflection",),
+    3: ("closed_form_vs_ode",),
+    4: ("maxwell_firstorder", "maxwell_matrix"),
+    5: ("planewave",),
+    6: ("gamma_identity",),
+    7: ("wronskian",),
+    8: ("turning_point", "envelope_crossing"),
+    9: ("heun_form",),
+    10: ("geometry_roundtrip", "hyperboloid_constraint"),
+    11: ("neumann_discrepancy_flag", "neumann_fit_agreement"),
+}
+
+# wall-time limits of single checks, in seconds
+TIME_LIMITS = {
+    "reflection_mirror": 10.0,
+    "growing_branch_reflection": 5.0,
+    "closed_form_vs_ode": 30.0,
+}
 
 
 def report(num, name, ok, detail):
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    assert ok, f"{name}: {detail}"
+    return ok
+
+
+def accept(num):
+    by_name = {c.name: c for c in CHECKS}
+    failed = []
+    for name in CRITERIA[num]:
+        check = by_name[name]
+        t0 = time.monotonic()
+        measured = check.fn()
+        dt = time.monotonic() - t0
+        limit = TIME_LIMITS.get(name, math.inf)
+        ok = measured < check.tolerance and dt < limit
+        if not report(num, name, ok,
+                      f"measured {measured:.3e}, tolerance {check.tolerance:g}, "
+                      f"runtime {dt:.2f} s"):
+            failed.append(name)
+    assert not failed, f"criterion {num:02d} failed: {', '.join(failed)}"
+
+
+def test_criteria_cover_every_check_once():
+    names = [n for group in CRITERIA.values() for n in group]
+    assert sorted(names) == sorted(c.name for c in CHECKS)
 
 
 def test_01_mirror_theorem():
-    t0 = time.monotonic()
-    worst = 0.0
-    for w in (0.5, 1.0, 2.0, 5.0, 10.0):
-        for k in (0.2, 1.0, 5.0):
-            r = reflection(BasisBranch.HANKEL1, ModeParams(w, k, 0.0),
-                           method="fitted").R
-            worst = max(worst, abs(r - 1.0))
-    dt = time.monotonic() - t0
-    ok = worst < 1e-6 and dt < 10.0
-    report(1, "mirror-theorem", ok,
-           f"worst |R-1| = {worst:.3e}, runtime {dt:.2f} s")
+    accept(1)
 
 
 def test_02_growing_branch_reflection():
-    t0 = time.monotonic()
-    worst = 0.0
-    for w in (0.25, 0.5):
-        r = reflection(BasisBranch.HANKEL2, ModeParams(w, 1.0, 0.0),
-                       method="fitted").R
-        expect = math.exp(4.0 * w * math.pi)
-        worst = max(worst, abs(r - expect) / expect)
-    dt = time.monotonic() - t0
-    ok = worst < 0.01 and dt < 5.0
-    report(2, "growing-branch-reflection", ok,
-           f"worst rel err = {worst:.3e}, runtime {dt:.2f} s")
+    accept(2)
 
 
 def test_03_closed_form_vs_ode_oracle():
-    t0 = time.monotonic()
-    tol = ToleranceSpec(rel_tol=1e-11, abs_tol=0.0)
-    worst = 0.0
-    for w in (0.5, 1.0, 2.0, 5.0):
-        for k in (0.2, 1.0, 5.0):
-            p = ModeParams(w, k, 0.0)
-            z0 = turning_point(p).z0
-            zs = list(np.linspace(-6.0, z0 + 3.0, 25))
-            g1_seed, _ = eval_G(BasisBranch.BESSEL_PLUS, p, -6.0)
-            dg1_seed = recurrence_shift(BasisBranch.BESSEL_PLUS, w,
-                                        k * math.exp(-6.0)).value
-            res = integrate_linear_ode2(
-                lambda z, k=k: k * k * math.exp(2.0 * z), w * w,
-                (-6.0, z0 + 3.0), (g1_seed, dg1_seed), tol=tol, outputs=zs)
-            closed = np.array([eval_G(BasisBranch.BESSEL_PLUS, p, z)[0]
-                               for z in zs])
-            scale = float(np.max(np.abs(closed)))
-            err = float(np.max(np.abs(np.array(res.u) - closed))) / scale
-            worst = max(worst, err)
-    # cross-check with the decaying branch integrated in its stable
-    # (leftward) direction
-    p = ModeParams(2.0, 1.0, 0.0)
-    z0 = turning_point(p).z0
-    zs = list(np.linspace(z0 + 3.0, -6.0, 25))
-    g1_seed, _ = eval_G(BasisBranch.HANKEL1, p, z0 + 3.0)
-    dg1_seed = recurrence_shift(BasisBranch.HANKEL1, 2.0,
-                                math.exp(z0 + 3.0)).value
-    res = integrate_linear_ode2(lambda z: math.exp(2.0 * z), 4.0,
-                                (z0 + 3.0, -6.0), (g1_seed, dg1_seed),
-                                tol=tol, outputs=zs)
-    closed = np.array([eval_G(BasisBranch.HANKEL1, p, z)[0] for z in zs])
-    scale = float(np.max(np.abs(closed)))
-    worst = max(worst,
-                float(np.max(np.abs(np.array(res.u) - closed))) / scale)
-    dt = time.monotonic() - t0
-    ok = worst < 1e-7 and dt < 30.0
-    report(3, "closed-form-vs-ode", ok,
-           f"worst rel dev = {worst:.3e}, runtime {dt:.2f} s")
+    accept(3)
 
 
 def test_04_maxwell_exactness():
-    params = (ModeParams(2.0, 1.0, 1.0), ModeParams(2.0, 1.0, 0.0),
-              ModeParams(0.5, 0.3, 0.4), ModeParams(5.0, 2.0, 1.0),
-              ModeParams(1.0, 0.2, 1.0), ModeParams(10.0, 1.0, 1.0))
-    branches = (BasisBranch.HANKEL1, BasisBranch.BESSEL_PLUS)
-    worst_fo = worst_mx = 0.0
-    for p in params:
-        for br in branches:
-            for z in np.linspace(-5.0, 1.5, 200):
-                amps = amplitudes_at(br, p, float(z))
-                worst_fo = max(worst_fo, maxwell_residual_firstorder(amps, p))
-                worst_mx = max(worst_mx, maxwell_residual_matrix(amps, p))
-    ok = worst_fo < 1e-8 and worst_mx < 1e-8
-    report(4, "maxwell-exactness", ok,
-           f"first-order {worst_fo:.3e}, matrix {worst_mx:.3e}")
+    accept(4)
 
 
 def test_05_plane_wave_special_case():
-    rng = np.random.default_rng(20260823)
-    p = ModeParams(2.0, 0.0, 0.0)
-    worst_dir = worst_res = 0.0
-    for _ in range(100):
-        t, z = rng.uniform(-3.0, 3.0, 2)
-        for sign in (+1, -1):
-            fv = plane_wave_special(sign, 2.0, float(t), float(z))
-            E, B = np.array(fv.E), np.array(fv.B)
-            cr = np.cross(E, B)
-            cr = cr / np.linalg.norm(cr)
-            worst_dir = max(worst_dir,
-                            float(np.max(np.abs(cr - [0.0, 0.0, sign]))))
-            amps = plane_wave_amplitudes(sign, 2.0, float(z))
-            worst_res = max(worst_res, maxwell_residual_firstorder(amps, p))
-    ok = worst_dir < 1e-12 and worst_res < 1e-12
-    report(5, "plane-wave", ok,
-           f"direction {worst_dir:.3e}, residual {worst_res:.3e}")
+    accept(5)
 
 
 def test_06_gamma_identity():
-    worst = 0.0
-    for w in (0.1, 1.0, 5.0, 20.0):
-        direct = abs(np.exp(complex(log_gamma(1.0 + 1j * w))
-                            + complex(log_gamma(1.0 - 1j * w))))
-        closed = gamma_modulus_sq(w)
-        worst = max(worst, abs(direct - closed) / closed)
-    ok = worst < 1e-12
-    report(6, "gamma-identity", ok, f"worst rel dev = {worst:.3e}")
+    accept(6)
 
 
 def test_07_wronskian():
-    worst = 0.0
-    for w in np.linspace(0.5, 10.0, 20):
-        for X in np.linspace(0.1, 30.0, 20):
-            val = wronskian_IK(float(w), float(X))
-            worst = max(worst, abs(val + 1.0 / X) * X)
-    ok = worst < 1e-9
-    report(7, "wronskian", ok, f"worst rel dev = {worst:.3e}")
+    accept(7)
 
 
 def test_08_turning_point_and_depth():
-    rng = np.random.default_rng(20260823)
-    worst_inv = 0.0
-    for _ in range(50):
-        w = float(rng.uniform(0.3, 20.0))
-        k = float(rng.uniform(0.1, 5.0))
-        info = turning_point(ModeParams(w, k, 0.0))
-        worst_inv = max(worst_inv,
-                        abs(info.U0 * math.exp(2.0 * info.z0) - w * w)
-                        / (w * w))
-        assert info.z0 == math.log(w / k)
-    worst_cross = 0.0
-    for w in (2.0, 5.0, 10.0):
-        p = ModeParams(w, 1.0, 0.0)
-        worst_cross = max(worst_cross,
-                          abs(envelope_crossing(p) - turning_point(p).z0))
-    ok = worst_inv < 1e-12 and worst_cross < 1.0
-    report(8, "turning-point-and-depth", ok,
-           f"identity {worst_inv:.3e}, crossing offset {worst_cross:.3f}")
+    accept(8)
 
 
 def test_09_heun_form_residual():
-    res = heun_form_residual(BasisBranch.HANKEL1, ModeParams(2.0, 1.0, 1.0),
-                             np.linspace(-4.0, 0.0, 41))
-    ok = res < 1e-5
-    report(9, "heun-form-residual", ok, f"residual = {res:.3e}")
+    accept(9)
 
 
 def test_10_geometry_round_trips():
-    rng = np.random.default_rng(20260823)
-    worst_rt = worst_con = 0.0
-    for _ in range(1000):
-        x, y = rng.uniform(-3.0, 3.0, 2)
-        z = float(rng.uniform(-4.0, 4.0))
-        p = QuasiCartesian(float(x), float(y), z)
-        u = to_embedding(p)
-        worst_con = max(worst_con,
-                        abs(u.constraint_defect()) / max(1.0, u.u0 * u.u0))
-        back = poincare_to_quasi(embedding_to_poincare(u))
-        scale = max(1.0, abs(x), abs(y), abs(z))
-        worst_rt = max(worst_rt, abs(back.x - p.x) / scale,
-                       abs(back.y - p.y) / scale, abs(back.z - p.z) / scale)
-    ok = worst_rt < 1e-10 and worst_con < 1e-12
-    report(10, "geometry-round-trips", ok,
-           f"roundtrip {worst_rt:.3e}, constraint {worst_con:.3e}")
+    accept(10)
 
 
 def test_11_neumann_reflection_audit():
-    p = ModeParams(1.0, 1.0, 0.0)
-    aud_p = neumann_audit(BasisBranch.NEUMANN_PLUS, p)
-    aud_m = neumann_audit(BasisBranch.NEUMANN_MINUS, p)
-    w = p.omega
-    printed_ok = (
-        aud_p.R_printed == 4.0 / (1.0 + math.exp(-4.0 * w * math.pi))
-        and aud_m.R_printed == (1.0 + math.exp(4.0 * w * math.pi)) / 4.0
-    )
-    flags_ok = aud_p.discrepancy_flag and aud_m.discrepancy_flag
-    fits_ok = (
-        abs(aud_p.R_fitted - aud_p.R_amplitudes) < 1e-6 * aud_p.R_amplitudes
-        and abs(aud_m.R_fitted - aud_m.R_amplitudes)
-        < 1e-6 * aud_m.R_amplitudes
-    )
-    ok = printed_ok and flags_ok and fits_ok
-    report(11, "neumann-audit", ok,
-           f"printed {aud_p.R_printed:.6f}/{aud_m.R_printed:.3f}, "
-           f"fitted {aud_p.R_fitted:.6f}/{aud_m.R_fitted:.3f}, "
-           f"flags {aud_p.discrepancy_flag}/{aud_m.discrepancy_flag}")
+    accept(11)
 
 
 def test_12_verify_determinism(tmp_path):
@@ -251,7 +114,9 @@ def test_12_verify_determinism(tmp_path):
     code2 = main(["verify", "--out", str(out2)])
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     doc = json.loads(b1)
-    ok = code1 == 0 and code2 == 0 and b1 == b2 and doc["all_passed"]
-    report(12, "verify-determinism", ok,
-           f"exit codes {code1}/{code2}, byte-identical {b1 == b2}, "
-           f"{len(doc['checks'])} checks")
+    names = [c["name"] for c in doc["checks"]]
+    ok = (code1 == 0 and code2 == 0 and b1 == b2 and doc["all_passed"]
+          and names == [c.name for c in CHECKS])
+    assert report(12, "verify-determinism", ok,
+                  f"exit codes {code1}/{code2}, byte-identical {b1 == b2}, "
+                  f"{len(names)} checks"), "verify-determinism"

@@ -55,6 +55,7 @@ def test_turning_point_values():
 def test_turning_point_identity(w, k):
     info = turning_point(ModeParams(w, k, 0.0))
     assert abs(info.U0 * math.exp(2.0 * info.z0) - w * w) <= 1e-12 * w * w
+    assert info.z0 == math.log(w / k)
 
 
 def test_penetration_depth_basics():
@@ -233,8 +234,7 @@ def test_neumann_audit_discrepancy():
     aud = neumann_audit(BasisBranch.NEUMANN_PLUS, p)
     assert aud.discrepancy_flag
     # the published expression, reproduced verbatim
-    assert aud.R_printed == pytest.approx(
-        4.0 / (1.0 + math.exp(-4.0 * math.pi)), rel=1e-15)
+    assert aud.R_printed == 4.0 / (1.0 + math.exp(-4.0 * math.pi))
     # the amplitude ratio and the fit agree with each other
     assert aud.R_amplitudes == pytest.approx(aud.R_fitted, rel=1e-6)
     # and with the ratio e^{2 w pi} / cosh^2(w pi)
@@ -243,8 +243,7 @@ def test_neumann_audit_discrepancy():
 
     aud2 = neumann_audit(BasisBranch.NEUMANN_MINUS, p)
     assert aud2.discrepancy_flag
-    assert aud2.R_printed == pytest.approx(
-        (1.0 + math.exp(4.0 * math.pi)) / 4.0, rel=1e-15)
+    assert aud2.R_printed == (1.0 + math.exp(4.0 * math.pi)) / 4.0
     expect2 = math.cosh(math.pi) ** 2 * math.exp(2.0 * math.pi)
     assert aud2.R_amplitudes == pytest.approx(expect2, rel=1e-12)
 
