@@ -30,7 +30,7 @@ from .scattering import (
 
 SCHEMA_ID = "lobwave/1"
 
-_BRANCH_NAMES = {b.value: b for b in BasisBranch}
+_BRANCHES = [b.value for b in BasisBranch]
 
 
 def _fmt(x) -> str:
@@ -88,23 +88,6 @@ def _emit_csv(header, rows, args):
     _emit("\n".join(lines) + "\n", args.out)
 
 
-def _parse_floats(text, n, what):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise LobwaveError(f"{what} needs {n} comma-separated values")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise LobwaveError(f"{what}: {exc}") from exc
-
-
-def _branch(name: str) -> BasisBranch:
-    if name not in _BRANCH_NAMES:
-        known = ", ".join(sorted(_BRANCH_NAMES))
-        raise LobwaveError(f"unknown branch {name!r}; choose one of {known}")
-    return _BRANCH_NAMES[name]
-
-
 def _mode_params(args) -> ModeParams:
     return ModeParams(args.omega, args.a, args.b)
 
@@ -113,19 +96,16 @@ def _mode_params(args) -> ModeParams:
 # subcommands
 
 def cmd_convert(args) -> int:
-    given = [v is not None for v in (args.quasi, args.embedding, args.poincare)]
-    if sum(given) != 1:
-        raise LobwaveError("give exactly one of --quasi, --embedding, --poincare")
     if args.quasi is not None:
-        p = geometry.QuasiCartesian(*_parse_floats(args.quasi, 3, "--quasi"))
+        p = geometry.QuasiCartesian(*args.quasi)
         u = geometry.to_embedding(p)
         q = geometry.embedding_to_poincare(u)
     elif args.embedding is not None:
-        u = geometry.EmbeddingPoint(*_parse_floats(args.embedding, 4, "--embedding"))
+        u = geometry.EmbeddingPoint(*args.embedding)
         q = geometry.embedding_to_poincare(u)
         p = geometry.poincare_to_quasi(q)
     else:
-        q = geometry.PoincarePoint(*_parse_floats(args.poincare, 3, "--poincare"))
+        q = geometry.PoincarePoint(*args.poincare)
         p = geometry.poincare_to_quasi(q)
         u = geometry.to_embedding(p)
     _emit_json({
@@ -160,7 +140,7 @@ def cmd_profile(args) -> int:
     p = _mode_params(args)
     if p.kappa == 0.0:
         raise LobwaveError("a = b = 0 is the free plane wave; use `planewave`")
-    branch = _branch(args.branch)
+    branch = BasisBranch(args.branch)
     zs = np.linspace(args.zmin, args.zmax, args.points)
     rows = []
     for z in zs:
@@ -173,11 +153,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_planewave(args) -> int:
-    if args.omega <= 0.0:
-        raise LobwaveError("omega must be positive")
-    sign = {"+": +1, "-": -1}.get(args.sign)
-    if sign is None:
-        raise LobwaveError("--sign must be '+' or '-'")
+    sign = +1 if args.sign == "+" else -1
     ts = np.linspace(args.tmin, args.tmax, args.tpoints)
     zs = np.linspace(args.zmin, args.zmax, args.zpoints)
     rows = []
@@ -196,7 +172,7 @@ def cmd_planewave(args) -> int:
 
 def cmd_reflect(args) -> int:
     p = _mode_params(args)
-    branch = _branch(args.branch)
+    branch = BasisBranch(args.branch)
     amps = amplitudes_analytic(branch, p)
     r_analytic = reflection(branch, p, method="analytic").R
     r_fitted = reflection(branch, p, method="fitted").R
@@ -225,12 +201,10 @@ def cmd_depth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    branch = _branch(args.branch)
-    omegas = [float(v) for v in args.omegas.split(",")]
-    kappas = [float(v) for v in args.kappas.split(",")]
+    branch = BasisBranch(args.branch)
     rows = []
-    for w in omegas:
-        for k in kappas:
+    for w in args.omegas:
+        for k in args.kappas:
             p = ModeParams(w, k, 0.0)
             rows.append((w, k, reflection(branch, p, method=args.method).R))
     _emit_csv(("omega", "kappa", "R"), rows, args)
@@ -299,6 +273,24 @@ def _config_tokens(args):
     return tokens
 
 
+def _floats(n=None):
+    """argparse type: comma-separated numbers, exactly `n` of them if given."""
+    def floats(text):
+        values = [float(v) for v in text.split(",")]
+        if n is not None and len(values) != n:
+            raise argparse.ArgumentTypeError(f"needs {n} comma-separated values")
+        return values
+    return floats
+
+
+def _count(text):
+    """argparse type: a number of grid points, an int >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file with defaults for this command")
     sub.add_argument("--out", help="output file (default: stdout)")
@@ -319,9 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("convert", help="convert between coordinate charts")
-    s.add_argument("--quasi", help="x,y,z in the quasi-Cartesian chart")
-    s.add_argument("--embedding", help="u0,u1,u2,u3 on the hyperboloid")
-    s.add_argument("--poincare", help="q1,q2,q3 in the unit ball")
+    chart = s.add_mutually_exclusive_group(required=True)
+    chart.add_argument("--quasi", type=_floats(3),
+                       help="x,y,z in the quasi-Cartesian chart")
+    chart.add_argument("--embedding", type=_floats(4),
+                       help="u0,u1,u2,u3 on the hyperboloid")
+    chart.add_argument("--poincare", type=_floats(3),
+                       help="q1,q2,q3 in the unit ball")
     _add_common(s)
     s.set_defaults(func=cmd_convert)
 
@@ -329,35 +325,35 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--z", type=float, default=0.0)
     s.add_argument("--zmin", type=float, default=-2.0)
     s.add_argument("--zmax", type=float, default=2.0)
-    s.add_argument("--points", type=int, default=81)
+    s.add_argument("--points", type=_count, default=81)
     s.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(s)
     s.set_defaults(func=cmd_medium)
 
     s = subs.add_parser("profile", help="radial profile G1, G2 along z (CSV)")
     _add_mode(s)
-    s.add_argument("--branch", default="hankel1")
+    s.add_argument("--branch", choices=_BRANCHES, default="hankel1")
     s.add_argument("--zmin", type=float, default=-6.0)
     s.add_argument("--zmax", type=float, default=5.0)
-    s.add_argument("--points", type=int, default=1101)
+    s.add_argument("--points", type=_count, default=1101)
     _add_common(s)
     s.set_defaults(func=cmd_profile)
 
     s = subs.add_parser("planewave", help="exact a=b=0 running wave (CSV)")
     s.add_argument("--omega", type=float, default=1.0)
-    s.add_argument("--sign", default="+")
+    s.add_argument("--sign", choices=("+", "-"), default="+")
     s.add_argument("--tmin", type=float, default=0.0)
     s.add_argument("--tmax", type=float, default=1.0)
-    s.add_argument("--tpoints", type=int, default=5)
+    s.add_argument("--tpoints", type=_count, default=5)
     s.add_argument("--zmin", type=float, default=-1.0)
     s.add_argument("--zmax", type=float, default=1.0)
-    s.add_argument("--zpoints", type=int, default=21)
+    s.add_argument("--zpoints", type=_count, default=21)
     _add_common(s)
     s.set_defaults(func=cmd_planewave)
 
     s = subs.add_parser("reflect", help="reflection coefficient (JSON)")
     _add_mode(s)
-    s.add_argument("--branch", default="hankel1")
+    s.add_argument("--branch", choices=_BRANCHES, default="hankel1")
     _add_common(s)
     s.set_defaults(func=cmd_reflect)
 
@@ -379,10 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("sweep", help="reflection over an (omega, kappa) grid")
-    s.add_argument("--branch", default="hankel1")
+    s.add_argument("--branch", choices=_BRANCHES, default="hankel1")
     s.add_argument("--method", choices=("analytic", "fitted"), default="fitted")
-    s.add_argument("--omegas", default="0.5,1,2,5,10")
-    s.add_argument("--kappas", default="0.2,1,5")
+    s.add_argument("--omegas", type=_floats(), default="0.5,1,2,5,10")
+    s.add_argument("--kappas", type=_floats(), default="0.2,1,5")
     _add_common(s)
     s.set_defaults(func=cmd_sweep)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError
-from .modes import ModeParams
+from .modes import ModeParams, _require_kappa
 from .numerics import ToleranceSpec, integrate_linear_ode2, lsq_fit_two_waves
 from .specfun import BasisBranch, basis_G1, log_gamma, recurrence_shift
 
@@ -100,11 +100,6 @@ class NeumannAudit:
     R_amplitudes: float
     R_fitted: float
     discrepancy_flag: bool
-
-
-def _require_kappa(p: ModeParams):
-    if p.kappa == 0.0:
-        raise DomainError("kappa = 0 has no barrier (free propagation)")
 
 
 def schrodinger_potential(p: ModeParams, z: float) -> float:
@@ -223,11 +218,8 @@ def _fit_window(p: ModeParams):
     return (right - span, right)
 
 
-def _kernel_samples(branch: BasisBranch, p: ModeParams,
-                    window=None, n=_FIT_SAMPLES):
-    if window is None:
-        window = _fit_window(p)
-    zs = np.linspace(window[0], window[1], n)
+def _kernel_samples(branch: BasisBranch, p: ModeParams):
+    zs = np.linspace(*_fit_window(p), _FIT_SAMPLES)
     return [(float(z), basis_G1(branch, p.omega, p.kappa * math.exp(z)).value)
             for z in zs]
 
@@ -341,8 +333,10 @@ def _decaying_seed_X(omega: float) -> float:
     return X
 
 
-def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying",
-                              tol: ToleranceSpec | None = None) -> float:
+_ORACLE_TOL = ToleranceSpec(rel_tol=1e-11, abs_tol=0.0)
+
+
+def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float:
     """R from a from-scratch integration of G'' + (omega^2 - U) G = 0.
 
     variant "decaying": seed inside the barrier with the decaying profile
@@ -364,7 +358,6 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying",
     _require_kappa(p)
     if p.omega > 20.0:
         raise DomainError("oracle supports omega <= 20")
-    tol = tol or ToleranceSpec(rel_tol=1e-11, abs_tol=0.0)
     if variant == "decaying":
         X = _decaying_seed_X(p.omega)
         z_seed = math.log(X / p.kappa)
@@ -384,7 +377,7 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying",
     window = _fit_window(p)
     zs = np.linspace(window[1], window[0], _FIT_SAMPLES)
     res = integrate_linear_ode2(U, p.omega * p.omega, (z_seed, window[0]),
-                                (u, v), tol=tol, outputs=list(zs))
+                                (u, v), tol=_ORACLE_TOL, outputs=list(zs))
     samples = list(zip(res.z, res.u))
     amps = amplitudes_fit(samples, p.omega)
     return abs(amps.Mminus) ** 2 / abs(amps.Mplus) ** 2
@@ -424,11 +417,14 @@ def near_turning_exponent(p: ModeParams, window: float = 0.02, n: int = 33,
     return float(slope)
 
 
-def envelope_crossing(p: ModeParams, search: float = 3.0) -> float:
+_CROSSING_SEARCH = 3.0
+
+
+def envelope_crossing(p: ModeParams) -> float:
     """z at which the decaying branch falls to 1/e of its left envelope.
 
     The left envelope is |M_plus| + |M_minus| of the closed-form
-    amplitudes; returns the largest z in [z0 - search, z0 + search] where
+    amplitudes; returns the largest z in [z0 - 3, z0 + 3] where
     |G1| crosses that envelope over e, refined by bisection.
     """
     _require_kappa(p)
@@ -440,7 +436,7 @@ def envelope_crossing(p: ModeParams, search: float = 3.0) -> float:
         return abs(basis_G1(BasisBranch.HANKEL1, p.omega,
                             p.kappa * math.exp(z)).value)
 
-    zs = np.linspace(z0 - search, z0 + search, 601)
+    zs = np.linspace(z0 - _CROSSING_SEARCH, z0 + _CROSSING_SEARCH, 601)
     mags = np.array([mag(float(z)) for z in zs])
     above = np.nonzero(mags >= target)[0]
     if len(above) == 0 or above[-1] == len(zs) - 1:

@@ -47,16 +47,6 @@ class BasisBranch(Enum):
 
 
 @dataclass(frozen=True)
-class ImagOrder:
-    """Dimensionless frequency omega giving the order +-i*omega."""
-
-    omega: float
-
-    def __post_init__(self):
-        _check_omega(self.omega)
-
-
-@dataclass(frozen=True)
 class SpecialValue:
     value: complex
     abs_err_estimate: float

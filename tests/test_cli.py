@@ -177,7 +177,8 @@ def test_sweep_csv(tmp_path):
 
 
 def test_verify_unreachable_tolerance(tmp_path):
-    code, doc = run_json(tmp_path, "verify", "--tolerance", "1e-20")
+    code, doc = run_json(tmp_path, "verify", "--only", "gamma",
+                         "--tolerance", "1e-20")
     assert code == 1
     assert doc["all_passed"] is False
     assert any(not c["passed"] for c in doc["checks"])
@@ -186,10 +187,10 @@ def test_verify_unreachable_tolerance(tmp_path):
 
 
 def test_verify_only_filter(tmp_path):
-    code, doc = run_json(tmp_path, "verify", "--only", "maxwell")
+    code, doc = run_json(tmp_path, "verify", "--only", "neumann")
     assert code == 0
-    assert {c["name"] for c in doc["checks"]} == {"maxwell_firstorder",
-                                                  "maxwell_matrix"}
+    assert {c["name"] for c in doc["checks"]} == {"neumann_discrepancy_flag",
+                                                  "neumann_fit_agreement"}
     code, _ = run(tmp_path, "verify", "--only", "nosuchcheck")
     assert code == 2
 
@@ -249,3 +250,24 @@ def test_unknown_branch_exit_2(tmp_path):
     code, _ = run(tmp_path, "reflect", "--branch", "bessel?",
                   "--omega", "1", "--a", "1", "--b", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("sweep", "--omegas", "1,x"), None),
+    (("sweep", "--kappas", ""), None),
+    (("profile", "--points", "-3"), None),
+    (("medium", "--format", "csv", "--points", "-2"), None),
+    (("planewave", "--tpoints", "-1"), None),
+    (("planewave", "--zpoints", "-1"), None),
+    (("profile",), {"points": -3}),
+], ids=["omegas", "kappas", "profile-points", "medium-points", "tpoints",
+        "zpoints", "config-points"])
+def test_malformed_values_exit_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(cfg))
+    code, text = run(tmp_path, *argv)
+    assert code == 2
+    assert text == ""
+    assert "usage: lobwave" in capsys.readouterr().err

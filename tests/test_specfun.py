@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lobwave.errors import DomainError, RangeError
 from lobwave.specfun import (
     BasisBranch,
-    ImagOrder,
     SpecialValue,
     _k_quadrature,
     _k_reflection,
@@ -25,14 +24,6 @@ from lobwave.specfun import (
 # goldens computed once with an independent high-precision library
 K_I1_AT_1 = 0.28942803702599212763
 PI_OVER_SINH_PI = 0.27202905498213316295
-
-
-def test_imag_order_validation():
-    ImagOrder(1.0)
-    with pytest.raises(DomainError):
-        ImagOrder(0.0)
-    with pytest.raises(DomainError):
-        ImagOrder(51.0)
 
 
 def test_special_value_validation():
@@ -171,6 +162,8 @@ def test_hankel1_decays_beyond_turning_point():
 def test_domain_guards():
     with pytest.raises(DomainError):
         bessel_K_imag(0.0, 1.0)
+    with pytest.raises(DomainError):
+        bessel_K_imag(51.0, 1.0)
     with pytest.raises(DomainError):
         bessel_K_imag(1.0, 0.0)
     with pytest.raises(RangeError):
