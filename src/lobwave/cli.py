@@ -283,12 +283,24 @@ def _floats(n=None):
     return floats
 
 
+def _positive(text):
+    """argparse type: a float > 0."""
+    x = float(text)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return x
+
+
 def _count(text):
     """argparse type: a number of grid points, an int >= 0."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
+
+
+# argparse takes a detached list such as -0.2,0,0 for an option
+_ATTACH = "; attach a list that starts with '-': --%(dest)s=-0.2,..."
 
 
 def _add_common(sub):
@@ -313,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("convert", help="convert between coordinate charts")
     chart = s.add_mutually_exclusive_group(required=True)
     chart.add_argument("--quasi", type=_floats(3),
-                       help="x,y,z in the quasi-Cartesian chart")
+                       help="x,y,z in the quasi-Cartesian chart" + _ATTACH)
     chart.add_argument("--embedding", type=_floats(4),
                        help="u0,u1,u2,u3 on the hyperboloid")
     chart.add_argument("--poincare", type=_floats(3),
-                       help="q1,q2,q3 in the unit ball")
+                       help="q1,q2,q3 in the unit ball" + _ATTACH)
     _add_common(s)
     s.set_defaults(func=cmd_convert)
 
@@ -340,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_profile)
 
     s = subs.add_parser("planewave", help="exact a=b=0 running wave (CSV)")
-    s.add_argument("--omega", type=float, default=1.0)
+    s.add_argument("--omega", type=_positive, default=1.0)
     s.add_argument("--sign", choices=("+", "-"), default="+")
     s.add_argument("--tmin", type=float, default=0.0)
     s.add_argument("--tmax", type=float, default=1.0)
@@ -377,8 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sweep", help="reflection over an (omega, kappa) grid")
     s.add_argument("--branch", choices=_BRANCHES, default="hankel1")
     s.add_argument("--method", choices=("analytic", "fitted"), default="fitted")
-    s.add_argument("--omegas", type=_floats(), default="0.5,1,2,5,10")
-    s.add_argument("--kappas", type=_floats(), default="0.2,1,5")
+    s.add_argument("--omegas", type=_floats(), default="0.5,1,2,5,10",
+                   help="comma-separated list" + _ATTACH)
+    s.add_argument("--kappas", type=_floats(), default="0.2,1,5",
+                   help="comma-separated list" + _ATTACH)
     _add_common(s)
     s.set_defaults(func=cmd_sweep)
 

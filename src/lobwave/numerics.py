@@ -226,16 +226,21 @@ def quad_adaptive(f, interval, tol=1e-12, limit=2000):
         return quad_adaptive(g, (0.0, 1.0 - math.exp(-41.5)), tol=tol, limit=limit)
     if not b > a:
         raise DomainError(f"quad_adaptive: empty interval ({a}, {b})")
+    if not tol > 0.0:
+        raise DomainError(f"quad_adaptive: tol = {tol} must be positive")
 
     segments = [( *_gk15(f, a, b), a, b )]
     while True:
         total = sum(s[0] for s in segments)
-        err = math.sqrt(sum(s[1] ** 2 for s in segments))
-        if err <= tol:
-            return total, err
+        # in units of tol: squared panel errors below ~1e-154 would underflow
+        # to 0 and pass any tol; r * r overflows to inf where ** 2 raises
+        ratio = math.sqrt(sum((r := s[1] / tol) * r for s in segments))
+        if ratio <= 1.0:
+            return total, ratio * tol
         if len(segments) >= limit:
             raise AccuracyError(
-                f"quad_adaptive: {limit} segments, error {err:.3e} > {tol:.3e}"
+                f"quad_adaptive: {limit} segments, error "
+                f"{math.hypot(*(s[1] for s in segments)):.3e} > {tol:.3e}"
             )
         worst = max(range(len(segments)), key=lambda i: segments[i][1])
         _, _, lo, hi = segments[worst]

@@ -11,12 +11,13 @@ Evaluation strategy:
 
 * I_nu(X): ascending series with a complex log-gamma kernel for X <= 40,
   the large-argument expansion beyond.
-* K_nu(X): the integral representation
+* K_nu(X): exactly one route per call, chosen by w = |Im nu|.  For
+  w <= 3 or X > 1.2 w, the integral representation
   K_nu(X) = int_0^inf e^{-X cosh t} cosh(nu t) dt by adaptive
-  Gauss-Kronrod quadrature where it is well conditioned (argument at or
-  beyond the oscillation region, or small |Im nu|), and the reflection
-  route K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)) in the oscillatory
-  regime where the quadrature would cancel down to e^{-pi omega/2}.
+  Gauss-Kronrod quadrature; otherwise (the oscillatory regime, where
+  the quadrature would cancel down to e^{-pi w/2}) the reflection route
+  K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)).  Past w ~ 30 both routes
+  lose digits just beyond the switch, up to X ~ 1.1 w + 10.
 
 Both K routes are kept callable so tests can compare them on the
 overlap domain.
@@ -191,9 +192,9 @@ def _k_quadrature(nu: complex, X: float):
     def integrand(t):
         return cmath.exp(-X * math.cosh(t)) * cmath.cosh(nu * t)
 
-    tol = max(1e-13 * scale, 5e-324)
     try:
-        value, err = quad_adaptive(integrand, (0.0, tmax), tol=tol, limit=4000)
+        value, err = quad_adaptive(integrand, (0.0, tmax), tol=1e-13 * scale,
+                                   limit=4000)
     except AccuracyError as exc:
         raise AccuracyError(f"K quadrature did not converge (nu={nu}, X={X})") from exc
     return value, err + 1e-16 * scale * tmax
@@ -204,8 +205,6 @@ def _k_reflection(nu: complex, X: float):
     im, em = _bessel_I(-nu, X)
     ip, ep = _bessel_I(nu, X)
     s = cmath.sin(cmath.pi * nu)
-    if s == 0:
-        raise DomainError("reflection route undefined at integer order")
     value = cmath.pi * (im - ip) / (2.0 * s)
     err = cmath.pi * (em + ep + 1e-16 * (abs(im) + abs(ip))) / (2.0 * abs(s))
     return value, err
@@ -213,15 +212,9 @@ def _k_reflection(nu: complex, X: float):
 
 def _bessel_K(nu: complex, X: float):
     w = abs(nu.imag)
-    if w <= 3.0 or X >= 1.1 * w + 10.0:
+    if w <= 3.0 or X > 1.2 * w:
         return _k_quadrature(nu, X)
-    if X <= 0.5 * w:
-        return _k_reflection(nu, X)
-    # transition band: both routes lose digits on parts of it, so run both
-    # and keep the one whose own error estimate is smaller
-    vq, eq = _k_quadrature(nu, X)
-    vr, er = _k_reflection(nu, X)
-    return (vq, eq) if eq <= er else (vr, er)
+    return _k_reflection(nu, X)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,15 @@ def test_convert_requires_exactly_one_chart(tmp_path):
     assert code == 2
 
 
+def test_convert_negative_list_attached(tmp_path):
+    # argparse takes a detached -0.2,0,0 for an option; the = form works
+    code, doc = run_json(tmp_path, "convert", "--quasi=-0.2,0,0")
+    assert code == 0
+    assert doc["quasi"] == {"x": -0.2, "y": 0.0, "z": 0.0}
+    code, _ = run(tmp_path, "convert", "--quasi", "-0.2,0,0")
+    assert code == 2
+
+
 def test_convert_from_embedding(tmp_path):
     u0 = math.cosh(1.0)
     u3 = math.sinh(1.0)
@@ -259,9 +268,10 @@ def test_unknown_branch_exit_2(tmp_path):
     (("medium", "--format", "csv", "--points", "-2"), None),
     (("planewave", "--tpoints", "-1"), None),
     (("planewave", "--zpoints", "-1"), None),
+    (("planewave", "--omega", "-1", "--tpoints", "0"), None),
     (("profile",), {"points": -3}),
 ], ids=["omegas", "kappas", "profile-points", "medium-points", "tpoints",
-        "zpoints", "config-points"])
+        "zpoints", "planewave-omega", "config-points"])
 def test_malformed_values_exit_2(tmp_path, capsys, argv, config):
     if config is not None:
         cfg = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobwave import numerics as nm
-from lobwave.errors import ConditioningError, DomainError
+from lobwave.errors import AccuracyError, ConditioningError, DomainError
 from lobwave.numerics import (
     ToleranceSpec,
     integrate_linear_ode2,
@@ -108,6 +108,26 @@ def test_quad_oscillatory_stability():
             for tol in (1e-10, 1e-11, 1e-12, 1e-13)]
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-12
+
+
+def test_quad_converges_below_the_square_underflow():
+    # panel errors near 1e-187 square to 0 in doubles; the error norm
+    # must still reach tol instead of accepting the first 15-point panel
+    scale = math.exp(-400.0)
+    val, _ = quad_adaptive(lambda t: math.exp(-400.0 * math.cosh(t)),
+                           (0.0, 0.55), tol=1e-13 * scale)
+    ref, _ = quad_adaptive(lambda t: math.exp(-400.0 * (math.cosh(t) - 1.0)),
+                           (0.0, 0.55), tol=1e-13)
+    assert abs(val - scale * ref) <= 1e-12 * scale * ref
+
+
+def test_quad_tolerance_guards():
+    with pytest.raises(DomainError):
+        quad_adaptive(math.exp, (0.0, 1.0), tol=0.0)
+    # a tolerance far below rounding exhausts the panels; it must not
+    # overflow the error norm on the way
+    with pytest.raises(AccuracyError):
+        quad_adaptive(lambda t: 1.0, (0.0, 1.0), tol=1e-300, limit=50)
 
 
 def test_quad_error_estimate_honest_for_tiny_integrals():

@@ -13,7 +13,6 @@ from lobwave.numerics import integrate_linear_ode2
 from lobwave.scattering import (
     amplitudes_analytic,
     amplitudes_fit,
-    envelope_crossing,
     effective_force,
     near_turning_exponent,
     neumann_audit,
@@ -171,14 +170,6 @@ def test_fitted_amplitudes_agree_with_closed_forms():
         assert abs(aa.Mminus - af.Mminus) <= 1e-8 * scale
 
 
-def test_mirror_grid():
-    for w in (0.5, 1.0, 2.0, 5.0, 10.0):
-        for k in (0.2, 1.0, 5.0):
-            r = reflection(BasisBranch.HANKEL1, ModeParams(w, k, 0.0),
-                           method="fitted").R
-            assert abs(r - 1.0) < 1e-6
-
-
 def test_reflection_scale_invariance():
     # R is a ratio of squared moduli, so rescaling the samples by any
     # nonzero complex constant leaves it unchanged
@@ -273,11 +264,3 @@ def test_near_turning_guards():
         near_turning_exponent(p, window=0.9)
     with pytest.raises(ConditioningError):
         near_turning_exponent(p, n=3)
-
-
-def test_envelope_crossing_near_turning_point():
-    for w in (2.0, 5.0, 10.0):
-        p = ModeParams(w, 1.0, 0.0)
-        z_cross = envelope_crossing(p)
-        z0 = turning_point(p).z0
-        assert abs(z_cross - z0) < 1.0

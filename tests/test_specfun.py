@@ -1,15 +1,18 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobwave import specfun
 from lobwave.errors import DomainError, RangeError
 from lobwave.specfun import (
     BasisBranch,
     SpecialValue,
+    _bessel_K,
     _k_quadrature,
     _k_reflection,
     basis_G1,
@@ -50,10 +53,6 @@ def test_log_gamma_functional_equation():
 
 
 def test_gamma_modulus_identity():
-    for w in (0.1, 1.0, 5.0, 20.0):
-        direct = abs(cmath.exp(log_gamma(1.0 + 1j * w)
-                               + log_gamma(1.0 - 1j * w)))
-        assert abs(direct - gamma_modulus_sq(w)) <= 1e-12 * gamma_modulus_sq(w)
     assert gamma_modulus_sq(1.0) == pytest.approx(PI_OVER_SINH_PI, rel=1e-14)
 
 
@@ -77,6 +76,64 @@ def test_bessel_k_routes_agree_on_overlap():
                 assert abs(vq.real - ref) <= 1e-10 * abs(ref)
 
 
+# K_nu(X) against mpmath at orders i w and i w +- 1, on both sides of
+# every route switch: w = 3, X = 1.2 w, the I switches X = 40 and X = w^2,
+# and the large-X cells where the quadrature's error norm used to underflow
+_K_OMEGAS = (0.05, 0.5, 2.0, 3.0, 3.05, 5.0, 8.0, 10.0, 14.0, 20.0, 35.0, 50.0)
+
+
+def _k_cells():
+    for w in _K_OMEGAS:
+        xs = {1e-3, 0.5 * w, 1.2 * w * (1.0 - 1e-9), 1.2 * w * (1.0 + 1e-9),
+              1.1 * w + 10.0, 40.0, w * w, 370.0, 400.0, 600.0, 690.0}
+        for X in sorted(x for x in xs if x <= 700.0):
+            yield w, X
+
+
+def _k_known_bad(w, X):
+    """Past w ~ 30 neither route reaches 1e-10 just beyond the switch."""
+    return w > 30.0 and 1.2 * w * (1.0 - 1e-9) <= X <= 1.1 * w + 10.0
+
+
+@pytest.mark.parametrize("known_bad", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP #1: past w ~ 30 both K routes lose digits for "
+        "1.2 w <= X <= 1.1 w + 10; measured 4.3e-9 at w = 35 and 1.5e-6 "
+        "at w = 50"))),
+], ids=["accurate", "roadmap-1"])
+def test_bessel_k_against_mpmath(known_bad):
+    worst = (0.0, None)
+    with mpmath.workdps(40):
+        for w, X in _k_cells():
+            if _k_known_bad(w, X) != known_bad:
+                continue
+            for shift in (-1.0, 0.0, 1.0):
+                got = _bessel_K(complex(shift, w), X)[0]
+                ref = complex(mpmath.besselk(mpmath.mpc(shift, w), X))
+                worst = max(worst, (abs(got - ref) / abs(ref), (w, X, shift)))
+    err, where = worst
+    assert err <= 1e-10, f"relative error {err:.2e} at (w, X, shift) = {where}"
+
+
+def test_bessel_k_runs_one_route_per_call(monkeypatch):
+    calls = []
+
+    def counted(route):
+        def wrapper(nu, X):
+            calls.append(route.__name__)
+            return route(nu, X)
+        return wrapper
+
+    for name in ("_k_quadrature", "_k_reflection"):
+        monkeypatch.setattr(specfun, name, counted(getattr(specfun, name)))
+    xs = np.linspace(0.3 * 20.0, 1.1 * 20.0 + 10.0, 25)
+    for X in xs:
+        _bessel_K(20j, float(X))
+    assert len(calls) == len(xs)
+    assert set(calls) == {"_k_quadrature", "_k_reflection"}
+
+
 def test_bessel_k_positive_and_decaying_in_X():
     vals = [bessel_K_imag(0.5, X).value.real for X in (1.0, 2.0, 4.0, 8.0)]
     assert all(v > 0.0 for v in vals)
@@ -90,15 +147,6 @@ def test_bessel_i_conjugate_symmetry():
         plus, _ = _bessel_I(1j * w, X)
         minus, _ = _bessel_I(-1j * w, X)
         assert abs(minus - plus.conjugate()) <= 1e-13 * abs(plus)
-
-
-def test_wronskian_identity_grid():
-    worst = 0.0
-    for w in np.linspace(0.5, 10.0, 20):
-        for X in np.linspace(0.1, 30.0, 20):
-            val = wronskian_IK(float(w), float(X))
-            worst = max(worst, abs(val + 1.0 / X) * X)
-    assert worst < 1e-9
 
 
 def test_branch_small_x_phase():
