@@ -12,6 +12,7 @@ module imports both.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -89,19 +90,24 @@ def _maxwell_points():
             yield br, p, float(z)
 
 
-def _maxwell(residual):
-    worst = 0.0
+@functools.lru_cache(maxsize=1)
+def _maxwell_worst():
+    """Worst first-order and matrix residuals, from one pass over the
+    mode stacks of _maxwell_points (both checks read it)."""
+    first = matrix = 0.0
     for br, p, z in _maxwell_points():
-        worst = max(worst, residual(amplitudes_at(br, p, z), p))
-    return worst
+        amps = amplitudes_at(br, p, z)
+        first = max(first, maxwell_residual_firstorder(amps, p))
+        matrix = max(matrix, maxwell_residual_matrix(amps, p))
+    return first, matrix
 
 
 def maxwell_firstorder():
-    return _maxwell(maxwell_residual_firstorder)
+    return _maxwell_worst()[0]
 
 
 def maxwell_matrix():
-    return _maxwell(maxwell_residual_matrix)
+    return _maxwell_worst()[1]
 
 
 def planewave():

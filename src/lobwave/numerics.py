@@ -1,10 +1,13 @@
-"""Self-contained numerical services used as independent oracles.
+"""Self-contained numerical services.
 
 Nothing here knows about Bessel functions or Maxwell modes: an embedded
 Dormand-Prince 5(4) integrator for the second-order mode equation, an
 adaptive Gauss-Kronrod 7/15 quadrature, and a two-wave linear
-least-squares fit.  Keeping these independent of the closed-form code
-paths is what makes the cross-validation meaningful.
+least-squares fit.  The integrator and the fit are independent oracles
+for the closed-form code paths, and that independence is what makes the
+cross-validation meaningful.  The quadrature is not: `specfun` imports
+`quad_adaptive` as its K_{i omega} route, until a route of its own
+replaces it (ROADMAP #1).
 """
 
 from __future__ import annotations
@@ -150,65 +153,68 @@ def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
     return result
 
 
-# Gauss 7 / Kronrod 15 nodes and weights on [-1, 1].
-_GK_NODES = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
+# Gauss 7 / Kronrod 15 nodes and Kronrod weights on [-1, 1], one name per
+# node pair (x_i, -x_i), outermost first; node 7 is the centre.
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = (
+    0.991455371120813, 0.949107912342759, 0.864864423359769,
+    0.741531185599394, 0.586087235467691, 0.405845151377397,
     0.207784955007898,
-    0.0,
 )
-_GK_WK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+_WK0, _WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = (
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728,
 )
-_GK_WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
+# Gauss weights of the pairs 1, 3, 5 and of the centre
+_WG1, _WG3, _WG5, _WG7 = (
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
 )
+# Kronrod weight of each value in the order _gk15 collects them
+_GK_WEIGHTS = (_WK7, _WK0, _WK0, _WK1, _WK1, _WK2, _WK2, _WK3, _WK3,
+               _WK4, _WK4, _WK5, _WK5, _WK6, _WK6)
 
 
 def _gk15(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fc = f(mid)
-    vals = [(fc, _GK_WK[7], True)]
-    ik = _GK_WK[7] * fc
-    ig = _GK_WG[3] * fc
-    for i in range(7):
-        x = half * _GK_NODES[i]
-        fp = f(mid + x)
-        fm = f(mid - x)
-        ik += _GK_WK[i] * (fp + fm)
-        vals.append((fp, _GK_WK[i], False))
-        vals.append((fm, _GK_WK[i], False))
-        if i % 2 == 1:
-            ig += _GK_WG[i // 2] * (fp + fm)
-    ik *= half
-    ig *= half
+    x = half * _X0
+    p0, m0 = f(mid + x), f(mid - x)
+    x = half * _X1
+    p1, m1 = f(mid + x), f(mid - x)
+    x = half * _X2
+    p2, m2 = f(mid + x), f(mid - x)
+    x = half * _X3
+    p3, m3 = f(mid + x), f(mid - x)
+    x = half * _X4
+    p4, m4 = f(mid + x), f(mid - x)
+    x = half * _X5
+    p5, m5 = f(mid + x), f(mid - x)
+    x = half * _X6
+    p6, m6 = f(mid + x), f(mid - x)
+    ik = (_WK7 * fc + _WK0 * (p0 + m0) + _WK1 * (p1 + m1) + _WK2 * (p2 + m2)
+          + _WK3 * (p3 + m3) + _WK4 * (p4 + m4) + _WK5 * (p5 + m5)
+          + _WK6 * (p6 + m6)) * half
+    ig = (_WG7 * fc + _WG1 * (p1 + m1) + _WG3 * (p3 + m3)
+          + _WG5 * (p5 + m5)) * half
     diff = abs(ik - ig)
     # scale the error by the variation of f about its mean so that
-    # small-magnitude integrals are not reported as converged early
+    # small-magnitude integrals are not reported as converged early;
+    # `floor` is the double-precision floor: cancellation across nodes
+    # cannot be beaten
     mean = ik / (b - a)
-    resasc = abs(half) * sum(w * abs(v - mean) for v, w, _ in vals)
+    resasc = floor = 0.0
+    for v, w in zip((fc, p0, m0, p1, m1, p2, m2, p3, m3, p4, m4, p5, m5,
+                     p6, m6), _GK_WEIGHTS):
+        resasc += w * abs(v - mean)
+        floor += w * abs(v)
+    resasc *= abs(half)
     if resasc > 0.0 and diff > 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
     else:
         err = diff
-    # double-precision floor: cancellation across nodes cannot be beaten
-    err = max(err, 1e-16 * abs(half) * sum(w * abs(v) for v, w, _ in vals))
-    return ik, err
+    return ik, max(err, 1e-16 * abs(half) * floor)
 
 
 def quad_adaptive(f, interval, tol=1e-12, limit=2000):
@@ -231,12 +237,11 @@ def quad_adaptive(f, interval, tol=1e-12, limit=2000):
 
     segments = [( *_gk15(f, a, b), a, b )]
     while True:
-        total = sum(s[0] for s in segments)
         # in units of tol: squared panel errors below ~1e-154 would underflow
         # to 0 and pass any tol; r * r overflows to inf where ** 2 raises
         ratio = math.sqrt(sum((r := s[1] / tol) * r for s in segments))
         if ratio <= 1.0:
-            return total, ratio * tol
+            return sum(s[0] for s in segments), ratio * tol
         if len(segments) >= limit:
             raise AccuracyError(
                 f"quad_adaptive: {limit} segments, error "

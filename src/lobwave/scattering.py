@@ -425,7 +425,11 @@ def envelope_crossing(p: ModeParams) -> float:
 
     The left envelope is |M_plus| + |M_minus| of the closed-form
     amplitudes; returns the largest z in [z0 - 3, z0 + 3] where
-    |G1| crosses that envelope over e, refined by bisection.
+    |G1| crosses that envelope over e.  A 601-point grid is walked from
+    the right and stops at the first point with |G1| >= envelope / e,
+    so the kernels left of the crossing are never evaluated; bisection
+    then refines the bracket and stops once its ends are adjacent
+    doubles, where no further step can move them.
     """
     _require_kappa(p)
     amps = amplitudes_analytic(BasisBranch.HANKEL1, p)
@@ -437,13 +441,17 @@ def envelope_crossing(p: ModeParams) -> float:
                             p.kappa * math.exp(z)).value)
 
     zs = np.linspace(z0 - _CROSSING_SEARCH, z0 + _CROSSING_SEARCH, 601)
-    mags = np.array([mag(float(z)) for z in zs])
-    above = np.nonzero(mags >= target)[0]
-    if len(above) == 0 or above[-1] == len(zs) - 1:
+    last = len(zs) - 1
+    i = last
+    while i >= 0 and not mag(float(zs[i])) >= target:
+        i -= 1
+    if i < 0 or i == last:
         raise ConditioningError("no envelope crossing inside the search window")
-    lo, hi = float(zs[above[-1]]), float(zs[above[-1] + 1])
+    lo, hi = float(zs[i]), float(zs[i + 1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if mag(mid) >= target:
             lo = mid
         else:

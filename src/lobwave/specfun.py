@@ -189,8 +189,16 @@ def _k_quadrature(nu: complex, X: float):
         tmax = math.acosh(1.0 + (60.0 + abs(nu.real) * tmax + tmax) / X)
     scale = math.exp(-X)
 
-    def integrand(t):
-        return cmath.exp(-X * math.cosh(t)) * cmath.cosh(nu * t)
+    if nu.real == 0.0:
+        # cmath.cosh(i w t) is exactly cos(w t) + 0j, so the real integrand
+        # gives the same bits as the complex one below
+        w = nu.imag
+
+        def integrand(t):
+            return math.exp(-X * math.cosh(t)) * math.cos(w * t)
+    else:
+        def integrand(t):
+            return cmath.exp(-X * math.cosh(t)) * cmath.cosh(nu * t)
 
     try:
         value, err = quad_adaptive(integrand, (0.0, tmax), tol=1e-13 * scale,

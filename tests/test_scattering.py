@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobwave import scattering
-from lobwave.errors import ConditioningError, DomainError
+from lobwave.errors import ConditioningError, DomainError, RangeError
 from lobwave.modes import ModeParams
 from lobwave.numerics import integrate_linear_ode2
 from lobwave.scattering import (
@@ -23,7 +23,7 @@ from lobwave.scattering import (
     turning_point,
     _kernel_samples,
 )
-from lobwave.specfun import BasisBranch, gamma_modulus_sq
+from lobwave.specfun import BasisBranch, basis_G1, gamma_modulus_sq
 
 C_LIGHT = 299792458.0
 
@@ -264,3 +264,53 @@ def test_near_turning_guards():
         near_turning_exponent(p, window=0.9)
     with pytest.raises(ConditioningError):
         near_turning_exponent(p, n=3)
+
+
+def _envelope_crossing_full_scan(p):
+    """The reference algorithm: all 601 grid points, then 60 bisections."""
+    amps = amplitudes_analytic(BasisBranch.HANKEL1, p)
+    target = (abs(amps.Mplus) + abs(amps.Mminus)) / math.e
+    z0 = turning_point(p).z0
+
+    def mag(z):
+        return abs(basis_G1(BasisBranch.HANKEL1, p.omega,
+                            p.kappa * math.exp(z)).value)
+
+    zs = np.linspace(z0 - 3.0, z0 + 3.0, 601)
+    mags = np.array([mag(float(z)) for z in zs])
+    above = np.nonzero(mags >= target)[0]
+    if len(above) == 0 or above[-1] == len(zs) - 1:
+        raise ConditioningError("no envelope crossing inside the search window")
+    lo, hi = float(zs[above[-1]]), float(zs[above[-1] + 1])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mag(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_envelope_crossing_matches_full_scan(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return basis_G1(*args)
+
+    monkeypatch.setattr(scattering, "basis_G1", counted)
+    for w in (0.2, 2.0, 10.0, 30.0):
+        for k in (0.2, 1.0, 5.0):
+            p = ModeParams(w, k, 0.0)
+            calls.clear()
+            got = scattering.envelope_crossing(p)
+            assert got == _envelope_crossing_full_scan(p), (w, k)
+            assert len(calls) <= 400, (w, k, len(calls))
+    # no crossing in the window at w = 0.05; the window leaves X <= 700
+    # at w = 40
+    for w, exc in ((0.05, ConditioningError), (40.0, RangeError)):
+        p = ModeParams(w, 1.0, 0.0)
+        with pytest.raises(exc):
+            _envelope_crossing_full_scan(p)
+        with pytest.raises(exc):
+            scattering.envelope_crossing(p)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lobwave import specfun
 from lobwave.errors import DomainError, RangeError
+from lobwave.numerics import quad_adaptive
 from lobwave.specfun import (
     BasisBranch,
     SpecialValue,
@@ -233,3 +234,21 @@ def test_gamma_modulus_positive_decreasing(w):
     v = gamma_modulus_sq(w)
     assert 0.0 < v <= 1.0
     assert gamma_modulus_sq(w + 0.5) < v
+
+
+def test_k_quadrature_real_integrand_is_exact():
+    # cmath.cosh(i w t) is exactly cos(w t) + 0j, so the real integrand
+    # that _k_quadrature uses for imaginary orders must match the complex
+    # one bit for bit, value and estimate
+    for w in (0.05, 0.5, 3.0, 20.0, 50.0):
+        nu = 1j * w
+        for X in (1e-3, 1.0, 25.0, 370.0, 690.0):
+            tmax = 5.0
+            for _ in range(4):
+                tmax = math.acosh(1.0 + (60.0 + tmax) / X)
+            scale = math.exp(-X)
+            value, err = quad_adaptive(
+                lambda t: cmath.exp(-X * math.cosh(t)) * cmath.cosh(nu * t),
+                (0.0, tmax), tol=1e-13 * scale, limit=4000)
+            assert _k_quadrature(nu, X) == (value, err + 1e-16 * scale * tmax), \
+                (w, X)
