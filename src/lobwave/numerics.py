@@ -6,8 +6,8 @@ adaptive Gauss-Kronrod 7/15 quadrature, and a two-wave linear
 least-squares fit.  The integrator and the fit are independent oracles
 for the closed-form code paths, and that independence is what makes the
 cross-validation meaningful.  The quadrature is not: `specfun` imports
-`quad_adaptive` as its K_{i omega} route, until a route of its own
-replaces it (ROADMAP #1).
+`quad_adaptive` as its K_{i omega} route for omega <= 3 and
+X <= 1.05 omega (ROADMAP #1).
 """
 
 from __future__ import annotations
@@ -220,16 +220,27 @@ def _gk15(f, a, b):
 def quad_adaptive(f, interval, tol=1e-12, limit=2000):
     """Globally adaptive Gauss-Kronrod integration of f over `interval`.
 
-    The upper endpoint may be math.inf, in which case the tail is mapped
-    by t = a - ln(1 - s) and truncated where the mapped integrand falls
-    below 1e-18 of its peak.  Returns (value, error_estimate); raises
-    AccuracyError when subdivision cannot reach `tol`.
+    The upper endpoint may be math.inf: the integral then runs over
+    [a, a + 40] as given and over the tail through t = a + 40 + (1 - s)/s,
+    s in [1e-100, 1], so an integrand decaying like t^{-2} maps to a
+    bounded one.  Only t > 1e100 is dropped, without notice: a tail that
+    matters there, as for a logarithmically divergent integral, is lost.
+
+    Returns (value, error_estimate); raises AccuracyError when subdivision
+    cannot reach `tol`, as for an integrand that grows or does not decay.
     """
     a, b = interval
     if math.isinf(b):
-        g = lambda s: f(a - math.log1p(-s)) / (1.0 - s)
-        # truncate the map just short of s = 1; e^{-41.5} ~ 1e-18
-        return quad_adaptive(g, (0.0, 1.0 - math.exp(-41.5)), tol=tol, limit=limit)
+        # past a + 40 an integrand decaying like e^{-t} is negligible on
+        # the tail's first panel, which is then never split toward s = 0;
+        # the floor on s keeps t and 1/s^2 finite for a divergent integrand,
+        # which then exhausts `limit`
+        head, head_err = quad_adaptive(f, (a, a + 40.0), tol=0.5 * tol,
+                                       limit=limit)
+        tail, tail_err = quad_adaptive(
+            lambda s: f(a + 40.0 + (1.0 - s) / s) / (s * s), (1e-100, 1.0),
+            tol=0.5 * tol, limit=limit)
+        return head + tail, head_err + tail_err
     if not b > a:
         raise DomainError(f"quad_adaptive: empty interval ({a}, {b})")
     if not tol > 0.0:

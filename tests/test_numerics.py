@@ -93,6 +93,18 @@ def test_quad_exponential_tail():
     assert abs(val - 1.0) < 1e-12
 
 
+def test_quad_infinite_interval_algebraic_tail_and_divergence():
+    # an algebraic tail converges; a divergent integral raises
+    # AccuracyError, never a ValueError from the map
+    val, err = quad_adaptive(lambda t: 1.0 / (1.0 + t * t), (0.0, math.inf),
+                             tol=1e-9)
+    assert abs(val - 0.5 * math.pi) <= 1e-9
+    assert err <= 1e-9
+    for f in (math.sqrt, lambda t: math.sin(40.0 * t) ** 2):
+        with pytest.raises(AccuracyError):
+            quad_adaptive(f, (0.0, math.inf), tol=1e-9)
+
+
 def test_quad_bessel_k_goldens():
     for X, golden in ((1.0, K0_AT_1), (2.0, K0_AT_2)):
         val, err = quad_adaptive(lambda t: math.exp(-X * math.cosh(t)),

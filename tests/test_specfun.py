@@ -14,6 +14,7 @@ from lobwave.specfun import (
     BasisBranch,
     SpecialValue,
     _bessel_K,
+    _k_contour,
     _k_quadrature,
     _k_reflection,
     basis_G1,
@@ -78,43 +79,48 @@ def test_bessel_k_routes_agree_on_overlap():
 
 
 # K_nu(X) against mpmath at orders i w and i w +- 1, on both sides of
-# every route switch: w = 3, X = 1.2 w, the I switches X = 40 and X = w^2,
-# and the large-X cells where the quadrature's error norm used to underflow
+# every route switch: w = 3, X = 1.05 w, the I switches X = 40 and X = w^2,
+# the old switch X = 1.2 w, and the large-X cells where the quadrature's
+# error norm used to underflow
 _K_OMEGAS = (0.05, 0.5, 2.0, 3.0, 3.05, 5.0, 8.0, 10.0, 14.0, 20.0, 35.0, 50.0)
+_K_SHIFTS = (-1.0, 0.0, 1.0)
 
 
 def _k_cells():
     for w in _K_OMEGAS:
-        xs = {1e-3, 0.5 * w, 1.2 * w * (1.0 - 1e-9), 1.2 * w * (1.0 + 1e-9),
+        xs = {1e-3, 0.5 * w, 1.05 * w * (1.0 - 1e-9), 1.05 * w * (1.0 + 1e-9),
+              1.2 * w * (1.0 - 1e-9), 1.2 * w * (1.0 + 1e-9),
               1.1 * w + 10.0, 40.0, w * w, 370.0, 400.0, 600.0, 690.0}
         for X in sorted(x for x in xs if x <= 700.0):
             yield w, X
 
 
-def _k_known_bad(w, X):
-    """Past w ~ 30 neither route reaches 1e-10 just beyond the switch."""
-    return w > 30.0 and 1.2 * w * (1.0 - 1e-9) <= X <= 1.1 * w + 10.0
-
-
-@pytest.mark.parametrize("known_bad", [
-    False,
-    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP #1: past w ~ 30 both K routes lose digits for "
-        "1.2 w <= X <= 1.1 w + 10; measured 4.3e-9 at w = 35 and 1.5e-6 "
-        "at w = 50"))),
-], ids=["accurate", "roadmap-1"])
-def test_bessel_k_against_mpmath(known_bad):
+def test_bessel_k_against_mpmath():
     worst = (0.0, None)
     with mpmath.workdps(40):
         for w, X in _k_cells():
-            if _k_known_bad(w, X) != known_bad:
-                continue
-            for shift in (-1.0, 0.0, 1.0):
+            for shift in _K_SHIFTS:
                 got = _bessel_K(complex(shift, w), X)[0]
                 ref = complex(mpmath.besselk(mpmath.mpc(shift, w), X))
                 worst = max(worst, (abs(got - ref) / abs(ref), (w, X, shift)))
     err, where = worst
     assert err <= 1e-10, f"relative error {err:.2e} at (w, X, shift) = {where}"
+
+
+def test_k_contour_estimate_bounds_error():
+    worst_ratio = worst_size = (0.0, None)
+    with mpmath.workdps(40):
+        for w, X in _k_cells():
+            if X <= 1.05 * w:
+                continue
+            for shift in _K_SHIFTS:
+                got, est = _k_contour(complex(shift, w), X)
+                ref = complex(mpmath.besselk(mpmath.mpc(shift, w), X))
+                where = (w, X, shift)
+                worst_ratio = max(worst_ratio, (abs(got - ref) / est, where))
+                worst_size = max(worst_size, (est / abs(ref), where))
+    assert worst_ratio[0] <= 10.0, f"|err| / estimate {worst_ratio}"
+    assert worst_size[0] <= 1e-11, f"estimate / |K| {worst_size}"
 
 
 def test_bessel_k_runs_one_route_per_call(monkeypatch):
@@ -126,13 +132,16 @@ def test_bessel_k_runs_one_route_per_call(monkeypatch):
             return route(nu, X)
         return wrapper
 
-    for name in ("_k_quadrature", "_k_reflection"):
+    routes = ("_k_quadrature", "_k_reflection", "_k_contour")
+    for name in routes:
         monkeypatch.setattr(specfun, name, counted(getattr(specfun, name)))
-    xs = np.linspace(0.3 * 20.0, 1.1 * 20.0 + 10.0, 25)
-    for X in xs:
-        _bessel_K(20j, float(X))
-    assert len(calls) == len(xs)
-    assert set(calls) == {"_k_quadrature", "_k_reflection"}
+    # X = 1.05 w on either side of the w = 3 switch
+    for w in (2.0, 20.0):
+        for X in np.linspace(0.3 * w, 1.1 * w + 10.0, 25):
+            before = len(calls)
+            _bessel_K(1j * w, float(X))
+            assert len(calls) == before + 1, (w, X)
+    assert set(calls) == set(routes)
 
 
 def test_bessel_k_positive_and_decaying_in_X():
