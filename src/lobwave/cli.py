@@ -11,6 +11,7 @@ byte-identical files; exit codes are 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,11 +143,11 @@ def cmd_profile(args) -> int:
         raise LobwaveError("a = b = 0 is the free plane wave; use `planewave`")
     branch = BasisBranch(args.branch)
     zs = np.linspace(args.zmin, args.zmax, args.points)
+    g1s, g2s = eval_G(branch, p, zs)
     rows = []
-    for z in zs:
-        g1, g2 = eval_G(branch, p, float(z))
-        rows.append((float(z), g1.real, g1.imag, g2.real, g2.imag,
-                     abs(g1), schrodinger_potential(p, float(z))))
+    for z, g1, g2 in zip(zs.tolist(), g1s.tolist(), g2s.tolist()):
+        rows.append((z, g1.real, g1.imag, g2.real, g2.imag,
+                     abs(g1), schrodinger_potential(p, z)))
     _emit_csv(("z", "re_G1", "im_G1", "re_G2", "im_G2", "abs_G1", "U"),
               rows, args)
     return 0
@@ -314,7 +315,10 @@ def _add_mode(sub):
     sub.add_argument("--b", type=float, default=0.0)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every run of `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="lobwave",
         description="Exact electromagnetic modes in Lobachevsky space: "

@@ -126,12 +126,32 @@ def _require_kappa(p: ModeParams):
         )
 
 
-def eval_G(branch: BasisBranch, p: ModeParams, z: float):
-    """(G1, G2) at height z: G1 from the branch kernel, G2 = (x/omega) dG1/dx."""
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def eval_G(branch: BasisBranch, p: ModeParams, z):
+    """(G1, G2) at height z: G1 from the branch kernel, G2 = (x/omega) dG1/dx.
+
+    z is a float, or a 1-D array on which G1 and G2 are arrays, each from
+    one kernel call over the whole grid.
+    """
     _require_kappa(p)
-    X = p.kappa * math.exp(z)
-    g1 = basis_G1(branch, p.omega, X).value
+    if isinstance(z, np.ndarray):
+        # math.exp, not np.exp: each X is the one a float z gives, to the
+        # bit.  An e^z past the double range becomes inf, which the kernels
+        # reject with a RangeError, after any finite X > 700 before it
+        with np.errstate(over="ignore"):
+            X = p.kappa * np.array([_exp_or_inf(v) for v in z.tolist()])
+    else:
+        X = p.kappa * math.exp(z)
+    # G2 first: it is not finite wherever G1 is not, so a grid raises
+    # the error that a point-by-point loop would meet first
     g2 = recurrence_shift(branch, p.omega, X).value / p.omega
+    g1 = basis_G1(branch, p.omega, X).value
     return g1, g2
 
 

@@ -219,9 +219,9 @@ def _fit_window(p: ModeParams):
 
 
 def _kernel_samples(branch: BasisBranch, p: ModeParams):
-    zs = np.linspace(*_fit_window(p), _FIT_SAMPLES)
-    return [(float(z), basis_G1(branch, p.omega, p.kappa * math.exp(z)).value)
-            for z in zs]
+    zs = np.linspace(*_fit_window(p), _FIT_SAMPLES).tolist()
+    X = p.kappa * np.array([math.exp(z) for z in zs])
+    return list(zip(zs, basis_G1(branch, p.omega, X).value.tolist()))
 
 
 def _printed_neumann_R(branch: BasisBranch, omega: float) -> float:

@@ -24,6 +24,17 @@ Evaluation strategy:
   1.2 times its estimate; the worst cells of the whole map, up to
   2.7e-11, are on the reflection route.
 
+On a grid (`basis_G1` and `recurrence_shift` take a 1-D array of X) the
+same switches split X once, so each point takes the route it takes
+alone, and each route runs on its whole share of the grid, at most 32 X
+at a time: the I series and the asymptotic expansion as one (X x term)
+array (`_i_series_grid`, `_i_asymptotic_grid`), the saddle-line rule as
+one (X x node) array (`_k_contour_grid`), the reflection route from
+those I arrays, and the quadrature point by point.  Blocks of 32 keep
+the temporaries to about 1 MB and let each block size its term count
+from its own largest X.  A float X runs the scalar code, which is
+faster for a single point.
+
 All three K routes are kept callable so tests can compare them.
 """
 
@@ -55,13 +66,23 @@ class BasisBranch(Enum):
 
 @dataclass(frozen=True)
 class SpecialValue:
+    """A kernel value and its error estimate; both are arrays on a grid."""
+
     value: complex
     abs_err_estimate: float
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.value) and math.isfinite(self.abs_err_estimate)):
+        if isinstance(self.value, np.ndarray):
+            finite = (np.isfinite(self.value).all()
+                      and np.isfinite(self.abs_err_estimate).all())
+            negative = (self.abs_err_estimate < 0.0).any()
+        else:
+            finite = (cmath.isfinite(self.value)
+                      and math.isfinite(self.abs_err_estimate))
+            negative = self.abs_err_estimate < 0.0
+        if not finite:
             raise DomainError("SpecialValue must be finite")
-        if self.abs_err_estimate < 0.0:
+        if negative:
             raise DomainError("error estimate must be >= 0")
 
 
@@ -72,10 +93,13 @@ def _check_omega(omega):
         )
 
 
+_X_MAX = 700.0
+
+
 def _check_X(X):
     if not X > 0.0:
         raise DomainError(f"X = {X} must be positive")
-    if X > 700.0:
+    if X > _X_MAX:
         raise RangeError(f"X = {X} overflows e^X in double precision")
 
 
@@ -126,6 +150,34 @@ def gamma_modulus_sq(omega: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# grids: each route on its share of X, in blocks
+
+# X per block: bounds the (X x term) and (X x node) temporaries, and lets
+# each block size its term count from its own largest X
+_BLOCK = 32
+
+
+def _on_grid(nu: complex, X: np.ndarray, routes):
+    """(value, err) arrays over X.  `routes` holds (mask, route) pairs; each
+    route takes nu and at most _BLOCK of the X its mask selects."""
+    value = np.empty(X.size, dtype=complex)
+    err = np.empty(X.size)
+    for mask, route in routes:
+        share = np.flatnonzero(mask)
+        for lo in range(0, share.size, _BLOCK):
+            part = share[lo:lo + _BLOCK]
+            value[part], err[part] = route(nu, X[part])
+    return value, err
+
+
+def _pointwise(route):
+    """A scalar route as a block route: one call per X."""
+    def block(nu, X):
+        return zip(*(route(nu, x) for x in X.tolist()))
+    return block
+
+
+# ---------------------------------------------------------------------------
 # I_nu(X)
 
 _SERIES_SWITCH_X = 40.0
@@ -153,6 +205,39 @@ def _i_series(nu: complex, X: float):
     raise AccuracyError(f"I series failed to converge (nu={nu}, X={X})")
 
 
+def _i_series_grid(nu: complex, X: np.ndarray):
+    """`_i_series` on a block of X: one (X x term) array of terms.
+
+    Term k + 1 is the cumulative product of the ratios q/((k+1)(nu+k+1)),
+    and each X's row stops where `_i_series` stops, at its third small
+    term in a row.  The term count is sized from the block's largest X
+    (the stop comes by X/2 + 4.5 sqrt(X) + 8) and doubled if it falls short.
+    """
+    q = 0.25 * X * X
+    first = np.exp(nu * np.log(0.5 * X) - log_gamma(nu + 1.0))
+    n = int(0.5 * X.max() + 5.0 * math.sqrt(X.max())) + 12
+    while True:
+        k = np.arange(n)
+        ratio = q[:, None] / ((k + 1.0) * (nu + k + 1.0))
+        terms = np.cumprod(np.concatenate((first[:, None], ratio), axis=1), axis=1)
+        totals = np.cumsum(terms, axis=1)
+        size = np.abs(terms)
+        small = size[:, 1:] < 1e-17 * np.abs(totals[:, 1:])
+        third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+        stopped = third.any(axis=1)
+        if stopped.all():
+            break
+        if n >= 600:
+            bad = float(X[np.argmin(stopped)])
+            raise AccuracyError(f"I series failed to converge (nu={nu}, X={bad})")
+        n = min(2 * n, 600)
+    # third[:, i] covers terms i + 1 .. i + 3
+    stop = np.argmax(third, axis=1) + 3
+    rows = np.arange(X.size)
+    biggest = np.where(np.arange(n + 1) <= stop[:, None], size, 0.0).max(axis=1)
+    return totals[rows, stop], size[rows, stop] + 1e-16 * biggest
+
+
 def _i_asymptotic(nu: complex, X: float):
     """Large-argument expansion e^X/sqrt(2 pi X) * sum_k (-1)^k a_k(nu)/X^k."""
     four_nu2 = 4.0 * nu * nu
@@ -174,11 +259,38 @@ def _i_asymptotic(nu: complex, X: float):
     return prefac * total, prefac * (err if math.isfinite(err) else best)
 
 
-def _bessel_I(nu: complex, X: float):
+def _i_asymptotic_grid(nu: complex, X: np.ndarray):
+    """`_i_asymptotic` on a block of X: one (X x term) array of 61 terms.
+
+    Each X's row stops where `_i_asymptotic` stops: at the first term that
+    fails to shrink (dropped) or is below 1e-16 of the sum (kept).
+    """
+    k = np.arange(60)
+    step = -(4.0 * nu * nu - (2 * k + 1.0) ** 2) / (8.0 * (k + 1.0))
+    terms = np.cumprod(np.concatenate(
+        (np.ones((X.size, 1)), step / X[:, None]), axis=1), axis=1)
+    totals = np.cumsum(terms, axis=1)
+    size = np.abs(terms)
+    grows = size[:, 1:] >= size[:, :-1]
+    done = grows | (size[:, 1:] < 1e-16 * np.abs(totals[:, 1:]))
+    # the first stopping term, or the last one if none stops the sum
+    stop = np.where(done.any(axis=1), np.argmax(done, axis=1), 59) + 1
+    rows = np.arange(X.size)
+    total = totals[rows, stop - grows[rows, stop - 1]]
+    prefac = np.exp(X - 0.5 * np.log(2.0 * math.pi * X))
+    return prefac * total, prefac * size[rows, stop]
+
+
+def _bessel_I(nu: complex, X):
     # the large-argument expansion only converges usefully once X clears
     # the |nu|^2 scale; the ascending series handles everything else
     w = abs(nu.imag)
-    if X >= max(_SERIES_SWITCH_X, w * w):
+    switch = max(_SERIES_SWITCH_X, w * w)
+    if isinstance(X, np.ndarray):
+        asymptotic = X >= switch
+        return _on_grid(nu, X, ((asymptotic, _i_asymptotic_grid),
+                                (~asymptotic, _i_series_grid)))
+    if X >= switch:
         return _i_asymptotic(nu, X)
     return _i_series(nu, X)
 
@@ -214,10 +326,14 @@ def _k_quadrature(nu: complex, X: float):
     return value, err + 1e-16 * scale * tmax
 
 
-def _k_reflection(nu: complex, X: float):
+def _k_reflection(nu: complex, X):
     """K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)); oscillatory-regime route."""
-    im, em = _bessel_I(-nu, X)
     ip, ep = _bessel_I(nu, X)
+    if nu.real == 0.0:
+        # for imaginary orders I_{-nu} is conj(I_nu), bit for bit
+        im, em = ip.conjugate(), ep
+    else:
+        im, em = _bessel_I(-nu, X)
     s = cmath.sin(cmath.pi * nu)
     value = cmath.pi * (im - ip) / (2.0 * s)
     err = cmath.pi * (em + ep + 1e-16 * (abs(im) + abs(ip))) / (2.0 * abs(s))
@@ -263,8 +379,45 @@ def _k_contour(nu: complex, X: float):
     return value, err
 
 
-def _bessel_K(nu: complex, X: float):
+def _k_contour_grid(nu: complex, X: np.ndarray):
+    """`_k_contour` on a block of X: one (X x node) array, each row masked
+    past its own node count."""
+    r, w = nu.real, nu.imag
+    c = np.arcsin(w / X)
+    a = X * np.cos(c)
+    h = np.minimum(0.25 / np.sqrt(a), 0.15 * (0.5 * math.pi - np.abs(c)))
+    smax = np.arccosh(1.0 + 41.5 / a)
+    for _ in range(3):
+        smax = np.arccosh(1.0 + (41.5 + abs(r) * smax) / a)
+    n = np.ceil(smax / h)
+    prefactor = 0.5 * h * np.exp(-a - w * c)
+    k = np.arange(n.max() + 1.0)
+    a, h, n = a[:, None], h[:, None], n[:, None]
+    if r == 0.0:
+        s = h * k
+        f = np.where(k <= n, np.exp(-a * (np.cosh(s) - 1.0))
+                     * np.cos(w * (s - np.sinh(s))), 0.0)
+        total = 2.0 * f.sum(axis=1) - f[:, 0]
+        abs_total = 2.0 * np.abs(f).sum(axis=1) - np.abs(f[:, 0])
+    else:
+        k = np.concatenate((-k[:0:-1], k))
+        s = h * k
+        f = np.where(np.abs(k) <= n, np.exp(-a * (np.cosh(s) - 1.0) + r * s
+                                            + 1j * (w * (s - np.sinh(s)))), 0.0)
+        total = f.sum(axis=1) * np.exp(1j * r * c)
+        abs_total = np.abs(f).sum(axis=1)
+    value = prefactor * total
+    err = 2.2e-16 * (4.0 * prefactor * abs_total
+                     + (2.0 + a[:, 0] + np.abs(w * c)) * np.abs(value))
+    return value, err
+
+
+def _bessel_K(nu: complex, X):
     w = abs(nu.imag)
+    if isinstance(X, np.ndarray):
+        contour = X > 1.05 * w
+        below = _pointwise(_k_quadrature) if w <= 3.0 else _k_reflection
+        return _on_grid(nu, X, ((contour, _k_contour_grid), (~contour, below)))
     if X > 1.05 * w:
         return _k_contour(nu, X)
     if w <= 3.0:
@@ -350,16 +503,40 @@ def _cyl_at_ix(kind: str, nu: complex, X: float):
     raise DomainError(f"unknown cylinder kind {kind!r}")
 
 
-def basis_G1(branch: BasisBranch, omega: float, X: float) -> SpecialValue:
-    """First radial profile G1 at x = iX for the chosen solution branch."""
+def _special_value(kernel, X) -> SpecialValue:
+    """SpecialValue(*kernel(X)) for a float X or a 1-D array of X.
+
+    A grid is evaluated up to its first X that `_check_X` rejects and
+    checked for finiteness there; only then is that X's error raised.  So
+    an X out of range, and a non-finite value before it, raise what a
+    point-by-point loop would raise.  An error that a route itself raises
+    (`AccuracyError`, say) comes out in route order, not in X order.
+    """
+    if not isinstance(X, np.ndarray):
+        _check_X(X)
+        return SpecialValue(*kernel(X))
+    rejected = np.flatnonzero(~((X > 0.0) & (X <= _X_MAX)))
+    head = X[:rejected[0]] if rejected.size else X
+    # values that overflow come out as inf and raise DomainError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, err = kernel(head)
+    result = SpecialValue(value, err)
+    if rejected.size:
+        _check_X(float(X[rejected[0]]))
+    return result
+
+
+def basis_G1(branch: BasisBranch, omega: float, X) -> SpecialValue:
+    """First radial profile G1 at x = iX for the chosen solution branch.
+
+    X is a float, or a 1-D array on which value and estimate are arrays.
+    """
     _check_omega(omega)
-    _check_X(X)
     kind, sign = _BRANCH_KIND[branch]
-    value, err = _cyl_at_ix(kind, sign * 1j * omega, X)
-    return SpecialValue(value, err)
+    return _special_value(lambda X: _cyl_at_ix(kind, sign * 1j * omega, X), X)
 
 
-def recurrence_shift(branch: BasisBranch, omega: float, X: float,
+def recurrence_shift(branch: BasisBranch, omega: float, X,
                      line: str = "auto") -> SpecialValue:
     """x dF/dx at x = iX via the order-shift recurrences.
 
@@ -367,21 +544,25 @@ def recurrence_shift(branch: BasisBranch, omega: float, X: float,
     line="down": x F' = -nu F_nu + x F_{nu-1}
     line="auto" picks "up" for +i omega base orders and "down" for
     -i omega ones (the printed pairing); the two agree identically.
+    X is a float or a 1-D array, as for `basis_G1`.
     """
     _check_omega(omega)
-    _check_X(X)
     kind, sign = _BRANCH_KIND[branch]
     nu = sign * 1j * omega
     if line == "auto":
         line = "up" if sign > 0 else "down"
-    x = 1j * X
-    f0, e0 = _cyl_at_ix(kind, nu, X)
-    if line == "up":
-        f1, e1 = _cyl_at_ix(kind, nu + 1.0, X)
-        value = nu * f0 - x * f1
-    elif line == "down":
-        f1, e1 = _cyl_at_ix(kind, nu - 1.0, X)
-        value = -nu * f0 + x * f1
-    else:
-        raise DomainError(f"unknown recurrence line {line!r}")
-    return SpecialValue(value, abs(nu) * e0 + X * e1)
+
+    def shift(X):
+        x = 1j * X
+        f0, e0 = _cyl_at_ix(kind, nu, X)
+        if line == "up":
+            f1, e1 = _cyl_at_ix(kind, nu + 1.0, X)
+            value = nu * f0 - x * f1
+        elif line == "down":
+            f1, e1 = _cyl_at_ix(kind, nu - 1.0, X)
+            value = -nu * f0 + x * f1
+        else:
+            raise DomainError(f"unknown recurrence line {line!r}")
+        return value, abs(nu) * e0 + X * e1
+
+    return _special_value(shift, X)

@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from lobwave.cli import main
+from lobwave.cli import build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "lobwave" / "schemas"
@@ -111,6 +111,20 @@ def test_profile_kappa_zero_exit_2(tmp_path):
     code, text = run(tmp_path, "profile", "--omega", "1", "--a", "0",
                      "--b", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("bounds, message", [
+    # the first X past 700 on the default 1101-point grid is named, as
+    # when the grid was evaluated point by point
+    (("--zmax", "800"), "X = 1324.8982050489965 overflows"),
+    # e^800 is past the double range; it reads as X = inf, not a traceback
+    (("--zmin", "800", "--zmax", "0"), "X = inf overflows"),
+], ids=["ascending", "descending"])
+def test_profile_past_x_max_exit_2(tmp_path, capsys, bounds, message):
+    code, _ = run(tmp_path, "profile", *bounds)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {message} e^X in double precision\n")
 
 
 def test_planewave_csv(tmp_path):
@@ -219,6 +233,22 @@ def test_config_file_precedence(tmp_path):
     assert code == 0
     assert doc["branch"] == "hankel1"
     assert doc["R_analytic"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cached_parser_keeps_no_config_values(tmp_path):
+    # main builds its parser once per process; a --config run must not
+    # leave its values behind for the next, flag-only run
+    build_parser.cache_clear()
+    code, fresh = run(tmp_path, "medium", "--z", "0.3")
+    assert code == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"z": 1.5, "format": "csv", "points": 3}))
+    code, _ = run(tmp_path, "medium", "--config", str(cfg))
+    assert code == 0
+    code, again = run(tmp_path, "medium", "--z", "0.3")
+    assert code == 0
+    assert again == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 def test_config_abbreviated_flag_wins(tmp_path):

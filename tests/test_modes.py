@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobwave import modes
 from lobwave.errors import DegenerateModeError, DomainError
 from lobwave.modes import (
     MAXWELL_MATRICES,
@@ -71,6 +72,34 @@ def test_degenerate_mode_rejected():
         eval_G(BasisBranch.HANKEL1, p, 0.0)
     with pytest.raises(DegenerateModeError):
         amplitudes_at(BasisBranch.HANKEL1, p, 0.0)
+
+
+def test_eval_G_grid_matches_points(monkeypatch):
+    # one basis_G1 and one recurrence_shift call per grid, and the values
+    # of the point-by-point calls to rounding, on grids that cross every
+    # route switch (X from 0.02 omega to 600)
+    calls = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        return wrapper
+
+    for name in ("basis_G1", "recurrence_shift"):
+        monkeypatch.setattr(modes, name, counted(getattr(modes, name)))
+    for br in BasisBranch:
+        for w in (0.5, 2.0, 8.0):
+            p = ModeParams(w, 1.0, 0.0)
+            zs = np.linspace(math.log(0.02 * w), math.log(600.0), 120)
+            calls.clear()
+            g1, g2 = eval_G(br, p, zs)
+            assert sorted(calls) == ["basis_G1", "recurrence_shift"]
+            for i, z in enumerate(zs.tolist()):
+                r1, r2 = eval_G(br, p, z)
+                scale = math.hypot(abs(r1), abs(r2))
+                assert max(abs(g1[i] - r1), abs(g2[i] - r2)) <= 1e-12 * scale, \
+                    (br, w, z)
 
 
 def test_f3_two_routes_agree():

@@ -13,8 +13,14 @@ from lobwave.numerics import quad_adaptive
 from lobwave.specfun import (
     BasisBranch,
     SpecialValue,
+    _bessel_I,
     _bessel_K,
+    _i_asymptotic,
+    _i_asymptotic_grid,
+    _i_series,
+    _i_series_grid,
     _k_contour,
+    _k_contour_grid,
     _k_quadrature,
     _k_reflection,
     basis_G1,
@@ -150,13 +156,40 @@ def test_bessel_k_positive_and_decaying_in_X():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def _seeded_cells(n, seed):
+    """n seeded (w, X), w log-uniform on [0.05, 50], X on [1e-3, 700]."""
+    rng = np.random.default_rng(seed)
+    ws = np.exp(rng.uniform(math.log(0.05), math.log(50.0), n))
+    xs = np.exp(rng.uniform(math.log(1e-3), math.log(700.0), n))
+    return list(zip(ws.tolist(), xs.tolist()))
+
+
 def test_bessel_i_conjugate_symmetry():
-    # I_{-i w}(X) is the conjugate of I_{+i w}(X) for real X
-    from lobwave.specfun import _bessel_I
-    for (w, X) in ((0.7, 0.4), (3.0, 12.0), (10.0, 60.0)):
-        plus, _ = _bessel_I(1j * w, X)
-        minus, _ = _bessel_I(-1j * w, X)
-        assert abs(minus - plus.conjugate()) <= 1e-13 * abs(plus)
+    # I_{-i w}(X) is the conjugate of I_{+i w}(X) for real X, bit for bit,
+    # value and estimate, on the series and the asymptotic route alike
+    for w, X in _seeded_cells(600, 4):
+        plus, plus_err = _bessel_I(1j * w, X)
+        minus, minus_err = _bessel_I(-1j * w, X)
+        assert (minus, minus_err) == (plus.conjugate(), plus_err), (w, X)
+
+
+def test_k_reflection_is_the_two_series_formula():
+    def formula(nu, X):
+        im, em = _bessel_I(-nu, X)
+        ip, ep = _bessel_I(nu, X)
+        s = cmath.sin(cmath.pi * nu)
+        return (cmath.pi * (im - ip) / (2.0 * s),
+                cmath.pi * (em + ep + 1e-16 * (abs(im) + abs(ip))) / (2.0 * abs(s)))
+
+    for w, X in _seeded_cells(100, 5):
+        for nu in (1j * w, -1j * w, complex(1.0, w), complex(-1.0, w)):
+            assert _k_reflection(nu, X) == formula(nu, X), (nu, X)
+    # and on a grid, where the I values come from the block routes
+    X = np.linspace(0.5, 60.0, 40)
+    for nu in (8j, -8j, complex(1.0, 8.0)):
+        value, err = _k_reflection(nu, X)
+        ref_value, ref_err = formula(nu, X)
+        assert np.array_equal(value, ref_value) and np.array_equal(err, ref_err)
 
 
 def test_branch_small_x_phase():
@@ -261,3 +294,106 @@ def test_k_quadrature_real_integrand_is_exact():
                 (0.0, tmax), tol=1e-13 * scale, limit=4000)
             assert _k_quadrature(nu, X) == (value, err + 1e-16 * scale * tmax), \
                 (w, X)
+
+
+# basis_G1 and recurrence_shift against mpmath on all six branches, on
+# both sides of every route switch, point by point and as one grid call
+_MAP_OMEGAS = (0.05, 0.5, 2.0, 2.9, 3.1, 8.0, 20.0, 37.0, 50.0)
+_MAP_KIND = {
+    BasisBranch.BESSEL_PLUS: ("J", +1),
+    BasisBranch.BESSEL_MINUS: ("J", -1),
+    BasisBranch.HANKEL1: ("H1", +1),
+    BasisBranch.HANKEL2: ("H2", +1),
+    BasisBranch.NEUMANN_PLUS: ("N", +1),
+    BasisBranch.NEUMANN_MINUS: ("N", -1),
+}
+
+
+def _map_X(w):
+    xs = {1e-3, 0.02 * w, 0.5 * w, 1.05 * w * (1.0 - 1e-9), 1.05 * w * (1.0 + 1e-9),
+          1.1 * w + 10.0, 40.0 * (1.0 - 1e-9), 40.0 * (1.0 + 1e-9), w * w, 300.0, 600.0}
+    return np.array(sorted(x for x in xs if x <= 600.0))
+
+
+def _reference_G(w, X):
+    """{branch: (G1, G2)} at one (w, X), from 40-digit mpmath I and K, with
+    x dC/dx from the order averages I' = (I_{nu-1} + I_{nu+1})/2 and
+    K' = -(K_{nu-1} + K_{nu+1})/2 rather than the one-sided shifts."""
+    with mpmath.workdps(40):
+        X = mpmath.mpf(X)
+        bi = {(sign, shift): mpmath.besseli(mpmath.mpc(shift, sign * w), X)
+              for sign in (1, -1) for shift in (-1, 0, 1)}
+        # K_{-nu} = K_nu, so K_{-i w + shift} = K_{i w - shift}
+        bk = {shift: mpmath.besselk(mpmath.mpc(shift, w), X) for shift in (-1, 0, 1)}
+        out = {}
+        for br, (kind, sign) in _MAP_KIND.items():
+            nu = sign * 1j * w
+            phase = mpmath.exp(0.5j * mpmath.pi * nu)
+            j = phase * bi[sign, 0]
+            dj = phase * X * (bi[sign, -1] + bi[sign, 1]) / 2
+            factor = 2 / (1j * mpmath.pi) * mpmath.exp(-0.5j * mpmath.pi * nu)
+            h = factor * bk[0]
+            dh = -factor * X * (bk[-sign] + bk[sign]) / 2
+            value, deriv = {"J": (j, dj), "H1": (h, dh),
+                            "H2": (2 * j - h, 2 * dj - dh),
+                            "N": ((h - j) / 1j, (dh - dj) / 1j)}[kind]
+            out[br] = complex(value), complex(deriv / w)
+        return out
+
+
+def test_profile_kernels_against_mpmath():
+    worst = (0.0, ())
+    for w in _MAP_OMEGAS:
+        X = _map_X(w)
+        refs = [_reference_G(w, x) for x in X.tolist()]
+        for br in BasisBranch:
+            grid_g1 = basis_G1(br, w, X).value
+            grid_g2 = recurrence_shift(br, w, X).value / w
+            for i, x in enumerate(X.tolist()):
+                r1, r2 = refs[i][br]
+                point = (basis_G1(br, w, x).value, recurrence_shift(br, w, x).value / w)
+                for path, (g1, g2) in (("point", point), ("grid", (grid_g1[i], grid_g2[i]))):
+                    # relative to the local envelope: below the turning
+                    # point G1 and G2 oscillate through zero
+                    dev = max(abs(g1 - r1), abs(g2 - r2)) / math.hypot(abs(r1), abs(r2))
+                    worst = max(worst, (dev, (path, br.value, w, x)))
+    assert worst[0] <= 1e-10, f"deviation {worst[0]:.2e} at {worst[1]}"
+
+
+@pytest.mark.parametrize("scalar, grid, domain", [
+    (_i_series, _i_series_grid, lambda w: (1e-3, min(max(40.0, w * w), 700.0))),
+    (_i_asymptotic, _i_asymptotic_grid, lambda w: (max(40.0, w * w), 700.0)),
+    (_k_contour, _k_contour_grid, lambda w: (1.05 * w * (1.0 + 1e-9), 700.0)),
+], ids=["series", "asymptotic", "contour"])
+def test_block_routes_match_scalar_routes(scalar, grid, domain):
+    # each block route on seeded 32-X blocks of its regime, against its
+    # scalar route point by point.  The estimates agree to rounding, so
+    # every X stops where the scalar loop stops.  The values differ
+    # by rounding: the series' estimate holds 1e-16 of its largest term,
+    # and the rounding differences reach about 1e-13 of it
+    rng = np.random.default_rng(6)
+    for w in (0.05, 0.5, 2.0, 8.0, 20.0, 26.0, 50.0):
+        lo, hi = domain(w)
+        if lo >= hi:
+            continue
+        X = np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), 32)))
+        for nu in (1j * w, -1j * w, complex(1.0, w), complex(-1.0, w)):
+            value, err = grid(nu, X)
+            for i, x in enumerate(X.tolist()):
+                v, e = scalar(nu, x)
+                assert err[i] == pytest.approx(e, rel=1e-12), (nu, x)
+                assert abs(value[i] - v) <= 1e-13 * abs(v) + 1e3 * e, (nu, x)
+
+
+def test_grid_raises_what_the_point_loop_raises():
+    # on a grid of a few X and on one of more than a block
+    for head in (np.array([1.0]), np.linspace(1.0, 5.0, 40)):
+        with pytest.raises(RangeError, match="X = 701.0 "):
+            basis_G1(BasisBranch.HANKEL1, 2.0, np.append(head, [701.0, 800.0]))
+        with pytest.raises(DomainError, match="X = 0.0 "):
+            recurrence_shift(BasisBranch.HANKEL1, 2.0, np.append(head, [0.0, 701.0]))
+        # an overflowing value before the first rejected X wins, as it
+        # does point by point: bessel- at omega = 10 overflows at X = 700
+        with pytest.raises(DomainError, match="must be finite"):
+            basis_G1(BasisBranch.BESSEL_MINUS, 10.0, np.append(head, [700.0, 701.0]))
+    assert basis_G1(BasisBranch.HANKEL1, 2.0, np.array([])).value.shape == (0,)
