@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,6 +102,16 @@ def _check_X(X):
         raise DomainError(f"X = {X} must be positive")
     if X > _X_MAX:
         raise RangeError(f"X = {X} overflows e^X in double precision")
+
+
+# log of the largest double: a term whose log modulus exceeds it overflows
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+
+
+def _overflow(X) -> RangeError:
+    """The error for a kernel value at an admissible X that a double cannot
+    hold, e.g. (X/2)^{nu} at Re nu = -1 and X below about 1e-308."""
+    return RangeError(f"X = {X}: the kernel value overflows a double")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +196,10 @@ _SERIES_SWITCH_X = 40.0
 
 def _i_series(nu: complex, X: float):
     """Ascending series sum_k (X/2)^{nu+2k} / (k! Gamma(nu+k+1))."""
-    term = cmath.exp(nu * cmath.log(0.5 * X) - log_gamma(nu + 1.0))
+    log_first = nu * cmath.log(0.5 * X) - log_gamma(nu + 1.0)
+    if log_first.real > _LOG_DOUBLE_MAX:
+        raise _overflow(X)
+    term = cmath.exp(log_first)
     total = term
     q = 0.25 * X * X
     small = 0
@@ -214,7 +228,11 @@ def _i_series_grid(nu: complex, X: np.ndarray):
     (the stop comes by X/2 + 4.5 sqrt(X) + 8) and doubled if it falls short.
     """
     q = 0.25 * X * X
-    first = np.exp(nu * np.log(0.5 * X) - log_gamma(nu + 1.0))
+    log_first = nu * np.log(0.5 * X) - log_gamma(nu + 1.0)
+    over = np.flatnonzero(log_first.real > _LOG_DOUBLE_MAX)
+    if over.size:
+        raise _overflow(float(X[over[0]]))
+    first = np.exp(log_first)
     n = int(0.5 * X.max() + 5.0 * math.sqrt(X.max())) + 12
     while True:
         k = np.arange(n)
@@ -506,24 +524,31 @@ def _cyl_at_ix(kind: str, nu: complex, X: float):
 def _special_value(kernel, X) -> SpecialValue:
     """SpecialValue(*kernel(X)) for a float X or a 1-D array of X.
 
-    A grid is evaluated up to its first X that `_check_X` rejects and
-    checked for finiteness there; only then is that X's error raised.  So
-    an X out of range, and a non-finite value before it, raise what a
-    point-by-point loop would raise.  An error that a route itself raises
-    (`AccuracyError`, say) comes out in route order, not in X order.
+    The inputs are finite, so a value or estimate that is not finite has
+    overflowed a double, and raises `_overflow`'s RangeError.  A grid is
+    evaluated up to its first X that `_check_X` rejects and checked for
+    finiteness there; only then is that X's error raised.  So an X out of
+    range, and a non-finite value before it, raise what a point-by-point
+    loop would raise.  An error that a route itself raises (`AccuracyError`,
+    say) comes out in route order, not in X order.
     """
     if not isinstance(X, np.ndarray):
         _check_X(X)
-        return SpecialValue(*kernel(X))
+        value, err = kernel(X)
+        if not (cmath.isfinite(value) and math.isfinite(err)):
+            raise _overflow(X)
+        return SpecialValue(value, err)
     rejected = np.flatnonzero(~((X > 0.0) & (X <= _X_MAX)))
     head = X[:rejected[0]] if rejected.size else X
-    # values that overflow come out as inf and raise DomainError below
+    # values that overflow come out as inf or nan and raise below
     with np.errstate(over="ignore", invalid="ignore"):
         value, err = kernel(head)
-    result = SpecialValue(value, err)
+    bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(err)))
+    if bad.size:
+        raise _overflow(float(head[bad[0]]))
     if rejected.size:
         _check_X(float(X[rejected[0]]))
-    return result
+    return SpecialValue(value, err)
 
 
 def basis_G1(branch: BasisBranch, omega: float, X) -> SpecialValue:

@@ -29,22 +29,29 @@ def test_tolerance_spec_validation():
         ToleranceSpec(max_steps=0)
 
 
-def test_dormand_prince_tableau():
-    # row sums of A equal c (c6 = c7 = 1, row 7 being b5), and both
-    # weight sets sum to 1
-    rows = (
-        (nm._C2, (nm._A21,)),
-        (nm._C3, (nm._A31, nm._A32)),
-        (nm._C4, (nm._A41, nm._A42, nm._A43)),
-        (nm._C5, (nm._A51, nm._A52, nm._A53, nm._A54)),
-        (1.0, (nm._A61, nm._A62, nm._A63, nm._A64, nm._A65)),
-    )
-    for c, row in rows:
-        assert math.fsum(row) == pytest.approx(c, abs=1e-15)
-    b5 = (nm._B1, nm._B3, nm._B4, nm._B5, nm._B6)
-    b4 = (nm._BH1, nm._BH3, nm._BH4, nm._BH5, nm._BH6, nm._BH7)
-    assert math.fsum(b5) == pytest.approx(1.0, abs=1e-15)
-    assert math.fsum(b4) == pytest.approx(1.0, abs=1e-15)
+def test_dop853_tableau():
+    # each row of A sums to its c (c12 = 1), the eighth-order weights sum
+    # to 1, and both error weight sets sum to 0.  Rows 9-12 hold entries
+    # up to 43, whose double rounding alone moves a row sum by ~1e-15, so
+    # row sums are held to 1e-15 of the row's scale, max(1, sum |a_ij|)
+    def stage(name):
+        return int(name[2:].split("_")[0])
+
+    for i in range(2, 13):
+        row = [getattr(nm, n) for n in dir(nm)
+               if n.startswith("_A") and "_" in n[2:] and stage(n) == i]
+        c = 1.0 if i == 12 else getattr(nm, f"_C{i}")
+        scale = max(1.0, math.fsum(abs(a) for a in row))
+        assert math.fsum(row) == pytest.approx(c, abs=1e-15 * scale), i
+    b = [nm._B1, nm._B6, nm._B7, nm._B8, nm._B9, nm._B10, nm._B11, nm._B12]
+    e5 = [nm._E5_1, nm._E5_6, nm._E5_7, nm._E5_8, nm._E5_9, nm._E5_10,
+          nm._E5_11, nm._E5_12]
+    # E3 = b - bhh, with the third-order weights bhh at stages 1, 9, 12
+    bhh = {1: nm._BHH1, 9: nm._BHH9, 12: nm._BHH12}
+    e3 = [wb - bhh.get(i, 0.0) for i, wb in zip((1, 6, 7, 8, 9, 10, 11, 12), b)]
+    assert math.fsum(b) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(e5) == pytest.approx(0.0, abs=1e-15)
+    assert math.fsum(e3) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cosine_oscillator():

@@ -394,6 +394,28 @@ def test_grid_raises_what_the_point_loop_raises():
             recurrence_shift(BasisBranch.HANKEL1, 2.0, np.append(head, [0.0, 701.0]))
         # an overflowing value before the first rejected X wins, as it
         # does point by point: bessel- at omega = 10 overflows at X = 700
-        with pytest.raises(DomainError, match="must be finite"):
+        with pytest.raises(RangeError, match="X = 700.0: .* overflows a double"):
             basis_G1(BasisBranch.BESSEL_MINUS, 10.0, np.append(head, [700.0, 701.0]))
     assert basis_G1(BasisBranch.HANKEL1, 2.0, np.array([])).value.shape == (0,)
+
+
+@pytest.mark.parametrize("omega, X", [(1.0, 1e-310), (50.0, 1e-280),
+                                      (50.0, 1e-250)])
+def test_tiny_x_overflow_is_one_range_error(omega, X):
+    # at Re nu = -1 the I series' first term is (X/2)^{-1 + i omega} /
+    # Gamma(i omega): past a double at the first two cells, and past it
+    # after the e^{pi omega / 2} phase of J at the third.  Float and grid
+    # raise the same RangeError
+    messages = []
+    for arg in (X, np.array([X])):
+        with pytest.raises(RangeError, match="overflows a double") as exc:
+            recurrence_shift(BasisBranch.BESSEL_MINUS, omega, arg)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == f"X = {X!r}: the kernel value overflows a double"
+
+
+def test_tiny_x_below_overflow_stays_finite():
+    point = recurrence_shift(BasisBranch.BESSEL_MINUS, 1.0, 1e-307)
+    grid = recurrence_shift(BasisBranch.BESSEL_MINUS, 1.0, np.array([1e-307]))
+    assert cmath.isfinite(point.value)
+    assert abs(grid.value[0] - point.value) <= 1e-13 * abs(point.value)
