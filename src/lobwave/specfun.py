@@ -229,9 +229,8 @@ def _i_series_grid(nu: complex, X: np.ndarray):
     """
     q = 0.25 * X * X
     log_first = nu * np.log(0.5 * X) - log_gamma(nu + 1.0)
-    over = np.flatnonzero(log_first.real > _LOG_DOUBLE_MAX)
-    if over.size:
-        raise _overflow(float(X[over[0]]))
+    if log_first.real.max() > _LOG_DOUBLE_MAX:
+        raise _overflow(float(X[np.argmax(log_first.real > _LOG_DOUBLE_MAX)]))
     first = np.exp(log_first)
     n = int(0.5 * X.max() + 5.0 * math.sqrt(X.max())) + 12
     while True:
@@ -543,9 +542,9 @@ def _special_value(kernel, X) -> SpecialValue:
     # values that overflow come out as inf or nan and raise below
     with np.errstate(over="ignore", invalid="ignore"):
         value, err = kernel(head)
-    bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(err)))
-    if bad.size:
-        raise _overflow(float(head[bad[0]]))
+    finite = np.isfinite(value) & np.isfinite(err)
+    if not finite.all():
+        raise _overflow(float(head[np.argmin(finite)]))
     if rejected.size:
         _check_X(float(X[rejected[0]]))
     return SpecialValue(value, err)
