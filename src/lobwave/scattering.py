@@ -353,7 +353,7 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
     asymptote would lose the recessive component, which the leftward
     integration re-amplifies to order e^{omega pi}); gives R = e^{4 omega pi}.
     The leftward run still loses the recessive component as omega grows
-    (relative error 2e-6 at omega = 0.8, 6e-4 at omega = 1).
+    (relative error 2e-6 at omega = 0.8, 7e-4 at omega = 1).
     """
     _require_kappa(p)
     if p.omega > 20.0:
