@@ -6,7 +6,7 @@ Gauss-Kronrod 7/15 quadrature, and a two-wave linear least-squares fit.
 The integrator and the fit are independent oracles for the closed-form
 code paths, and that independence is what makes the cross-validation
 meaningful.  The quadrature is not: `specfun` imports `quad_adaptive` as
-its K_{i omega} route for omega <= 3 and X <= 1.05 omega (ROADMAP #2).
+its K_{i omega} route for omega <= 3 and 0.1 < X <= 1.05 omega.
 """
 
 from __future__ import annotations
@@ -251,10 +251,11 @@ def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
         sc_v = 0.1 * (abs_tol + rel_tol * max(abs(v), abs(v_new)))
         sc_v += sc_u * vscale
         # per component |h| e5^2 / sqrt(e5^2 + 0.01 e3^2), in the hypot
-        # form that cannot overflow
-        a5, a3 = abs(e5u) / sc_u, abs(e3u) / sc_u
+        # form that cannot overflow.  A zero e5 is zero error, also where a
+        # zero state with abs_tol = 0 makes the scale 0
+        a5, a3 = (abs(e5u) / sc_u, abs(e3u) / sc_u) if e5u else (0.0, 0.0)
         err_u = a5 * (a5 / math.hypot(a5, 0.1 * a3)) if a5 > 0.0 else 0.0
-        a5, a3 = abs(e5v) / sc_v, abs(e3v) / sc_v
+        a5, a3 = (abs(e5v) / sc_v, abs(e3v) / sc_v) if e5v else (0.0, 0.0)
         err_v = a5 * (a5 / math.hypot(a5, 0.1 * a3)) if a5 > 0.0 else 0.0
         err = abs(h) * max(err_u, err_v)
         if err <= 1.0:
@@ -337,27 +338,15 @@ def _gk15(f, a, b):
 def quad_adaptive(f, interval, tol=1e-12, limit=2000):
     """Globally adaptive Gauss-Kronrod integration of f over `interval`.
 
-    The upper endpoint may be math.inf: the integral then runs over
-    [a, a + 40] as given and over the tail through t = a + 40 + (1 - s)/s,
-    s in [1e-100, 1], so an integrand decaying like t^{-2} maps to a
-    bounded one.  Only t > 1e100 is dropped, without notice: a tail that
-    matters there, as for a logarithmically divergent integral, is lost.
+    Both endpoints must be finite: an infinite one raises DomainError.
+    Truncate a decaying integrand where its tail is negligible instead.
 
     Returns (value, error_estimate); raises AccuracyError when subdivision
-    cannot reach `tol`, as for an integrand that grows or does not decay.
+    cannot reach `tol`.
     """
     a, b = interval
-    if math.isinf(b):
-        # past a + 40 an integrand decaying like e^{-t} is negligible on
-        # the tail's first panel, which is then never split toward s = 0;
-        # the floor on s keeps t and 1/s^2 finite for a divergent integrand,
-        # which then exhausts `limit`
-        head, head_err = quad_adaptive(f, (a, a + 40.0), tol=0.5 * tol,
-                                       limit=limit)
-        tail, tail_err = quad_adaptive(
-            lambda s: f(a + 40.0 + (1.0 - s) / s) / (s * s), (1e-100, 1.0),
-            tol=0.5 * tol, limit=limit)
-        return head + tail, head_err + tail_err
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"quad_adaptive: interval ({a}, {b}) must be finite")
     if not b > a:
         raise DomainError(f"quad_adaptive: empty interval ({a}, {b})")
     if not tol > 0.0:

@@ -11,18 +11,24 @@ Evaluation strategy:
 
 * I_nu(X): ascending series with a complex log-gamma kernel for X <= 40,
   the large-argument expansion beyond.
-* K_nu(X): exactly one route per call, chosen by w = |Im nu|.  Past
-  the turning point, X > 1.05 w, the trapezoid rule on the horizontal
-  line through the saddle of K_nu(X) = 1/2 int_R e^{-X cosh t + nu t} dt
-  (`_k_contour`; Gil, Segura & Temme 2002, Trefethen & Weideman 2014).
-  Below it, for w <= 3, the same integral on the real axis by adaptive
-  Gauss-Kronrod quadrature (`_k_quadrature`); for w > 3, where that
-  integral would cancel down to e^{-pi w/2}, the reflection route
-  K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)) (`_k_reflection`).
-  Against mpmath at orders i w and i w +- 1 the contour is within
-  1.4e-13 (relative) everywhere in its regime, and its error is at most
-  1.2 times its estimate; the worst cells of the whole map, up to
-  2.7e-11, are on the reflection route.
+* K_nu(X): exactly one route per call, chosen by w = |Im nu| and X:
+
+    X > 1.05 w                       saddle-line trapezoid rule (`_k_contour`)
+    0.1 < X <= 1.05 w, w <= 3        real-axis quadrature (`_k_quadrature`)
+    X <= 0.1 or w > 3 (X <= 1.05 w)  two I series (`_k_reflection`)
+
+  The contour route is the trapezoid rule on the horizontal line through
+  the saddle of K_nu(X) = 1/2 int_R e^{-X cosh t + nu t} dt (Gil, Segura
+  & Temme 2002, Trefethen & Weideman 2014); the quadrature is adaptive
+  Gauss-Kronrod on the same integral on the real axis; the reflection
+  route is K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)).  For w > 3 the
+  real-axis integral would cancel down to e^{-pi w/2}; at X <= 0.1 the
+  quadrature's estimate falls short of its error by up to 256x, and the
+  reflection route is more accurate there.  Against mpmath at orders
+  i w and i w +- 1 the contour is within 1.4e-13 (relative) everywhere
+  in its regime, and its error is at most 1.2 times its estimate; the
+  quadrature is within 5e-14; the worst cells of the whole map, up to
+  2.7e-11, are on the reflection route at large w.
 
 On a grid (`basis_G1` and `recurrence_shift` take a 1-D array of X) the
 same switches split X once, so each point takes the route it takes
@@ -315,6 +321,12 @@ def _bessel_I(nu: complex, X):
 # ---------------------------------------------------------------------------
 # K_nu(X), three routes
 
+# the quadrature's lower end in X: below it the quadrature's estimate falls
+# short of its error by 16x to 256x, and the reflection route is both more
+# accurate and about 10x cheaper per call
+_K_QUAD_X_MIN = 0.1
+
+
 def _k_quadrature(nu: complex, X: float):
     """Integral representation int_0^tmax e^{-X cosh t} cosh(nu t) dt."""
     _check_X(X)
@@ -433,11 +445,13 @@ def _bessel_K(nu: complex, X):
     w = abs(nu.imag)
     if isinstance(X, np.ndarray):
         contour = X > 1.05 * w
-        below = _pointwise(_k_quadrature) if w <= 3.0 else _k_reflection
-        return _on_grid(nu, X, ((contour, _k_contour_grid), (~contour, below)))
+        quadrature = ~contour & (X > _K_QUAD_X_MIN) & (w <= 3.0)
+        return _on_grid(nu, X, ((contour, _k_contour_grid),
+                                (quadrature, _pointwise(_k_quadrature)),
+                                (~contour & ~quadrature, _k_reflection)))
     if X > 1.05 * w:
         return _k_contour(nu, X)
-    if w <= 3.0:
+    if w <= 3.0 and X > _K_QUAD_X_MIN:
         return _k_quadrature(nu, X)
     return _k_reflection(nu, X)
 

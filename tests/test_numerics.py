@@ -89,33 +89,32 @@ def test_dense_output_and_direction():
         assert abs(u - math.cos(z - 4.0)) < 1e-9
 
 
+def test_zero_state_with_zero_abs_tol_stays_zero():
+    # both error terms are 0 and so is the error scale: zero error, not 0/0
+    res = integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 1.0), (0.0, 0.0),
+                                tol=ToleranceSpec(rel_tol=1e-10, abs_tol=0.0))
+    assert res.z == [1.0]
+    assert res.u == [0.0] and res.du == [0.0]
+    assert res.n_rejected == 0
+
+
 def test_output_outside_span_rejected():
     with pytest.raises(DomainError):
         integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 1.0), (1.0, 0.0),
                               outputs=[2.0])
 
 
+# the integrands of the next three tests decay at least like e^{-t}: past
+# t = 40 their tails are below 1e-17
 def test_quad_exponential_tail():
-    val, err = quad_adaptive(lambda t: math.exp(-t), (0.0, math.inf))
+    val, err = quad_adaptive(lambda t: math.exp(-t), (0.0, 40.0))
     assert abs(val - 1.0) < 1e-12
-
-
-def test_quad_infinite_interval_algebraic_tail_and_divergence():
-    # an algebraic tail converges; a divergent integral raises
-    # AccuracyError, never a ValueError from the map
-    val, err = quad_adaptive(lambda t: 1.0 / (1.0 + t * t), (0.0, math.inf),
-                             tol=1e-9)
-    assert abs(val - 0.5 * math.pi) <= 1e-9
-    assert err <= 1e-9
-    for f in (math.sqrt, lambda t: math.sin(40.0 * t) ** 2):
-        with pytest.raises(AccuracyError):
-            quad_adaptive(f, (0.0, math.inf), tol=1e-9)
 
 
 def test_quad_bessel_k_goldens():
     for X, golden in ((1.0, K0_AT_1), (2.0, K0_AT_2)):
         val, err = quad_adaptive(lambda t: math.exp(-X * math.cosh(t)),
-                                 (0.0, math.inf))
+                                 (0.0, 40.0))
         assert abs(val - golden) < 1e-12
 
 
@@ -123,10 +122,16 @@ def test_quad_oscillatory_stability():
     def f(t):
         return math.exp(-math.cosh(t)) * math.cos(10.0 * t)
 
-    vals = [quad_adaptive(f, (0.0, math.inf), tol=tol)[0]
+    vals = [quad_adaptive(f, (0.0, 40.0), tol=tol)[0]
             for tol in (1e-10, 1e-11, 1e-12, 1e-13)]
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-12
+
+
+def test_quad_infinite_endpoint_raises():
+    for interval in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(DomainError):
+            quad_adaptive(lambda t: 1.0 / (1.0 + t), interval, tol=1e-9)
 
 
 def test_quad_converges_below_the_square_underflow():

@@ -85,16 +85,17 @@ def test_bessel_k_routes_agree_on_overlap():
 
 
 # K_nu(X) against mpmath at orders i w and i w +- 1, on both sides of
-# every route switch: w = 3, X = 1.05 w, the I switches X = 40 and X = w^2,
-# the old switch X = 1.2 w, and the large-X cells where the quadrature's
-# error norm used to underflow
+# every route switch: w = 3, X = 1.05 w, X = 0.1, the I switches X = 40
+# and X = w^2, the old switch X = 1.2 w, and the large-X cells where the
+# quadrature's error norm used to underflow
 _K_OMEGAS = (0.05, 0.5, 2.0, 3.0, 3.05, 5.0, 8.0, 10.0, 14.0, 20.0, 35.0, 50.0)
 _K_SHIFTS = (-1.0, 0.0, 1.0)
 
 
 def _k_cells():
     for w in _K_OMEGAS:
-        xs = {1e-3, 0.5 * w, 1.05 * w * (1.0 - 1e-9), 1.05 * w * (1.0 + 1e-9),
+        xs = {1e-3, 0.1 * (1.0 - 1e-9), 0.1 * (1.0 + 1e-9),
+              0.5 * w, 1.05 * w * (1.0 - 1e-9), 1.05 * w * (1.0 + 1e-9),
               1.2 * w * (1.0 - 1e-9), 1.2 * w * (1.0 + 1e-9),
               1.1 * w + 10.0, 40.0, w * w, 370.0, 400.0, 600.0, 690.0}
         for X in sorted(x for x in xs if x <= 700.0):
@@ -129,6 +130,15 @@ def test_k_contour_estimate_bounds_error():
     assert worst_size[0] <= 1e-11, f"estimate / |K| {worst_size}"
 
 
+def _expected_k_route(w, X):
+    """The switch table of `_bessel_K`."""
+    if X > 1.05 * w:
+        return "_k_contour"
+    if w <= 3.0 and X > 0.1:
+        return "_k_quadrature"
+    return "_k_reflection"
+
+
 def test_bessel_k_runs_one_route_per_call(monkeypatch):
     calls = []
 
@@ -141,13 +151,43 @@ def test_bessel_k_runs_one_route_per_call(monkeypatch):
     routes = ("_k_quadrature", "_k_reflection", "_k_contour")
     for name in routes:
         monkeypatch.setattr(specfun, name, counted(getattr(specfun, name)))
-    # X = 1.05 w on either side of the w = 3 switch
+    # X = 1.05 w on either side of the w = 3 switch, and X = 0.1 below it
     for w in (2.0, 20.0):
-        for X in np.linspace(0.3 * w, 1.1 * w + 10.0, 25):
+        xs = np.concatenate((np.geomspace(1e-3, 0.3 * w, 12, endpoint=False),
+                             np.linspace(0.3 * w, 1.1 * w + 10.0, 25),
+                             [0.1 * (1.0 - 1e-9), 0.1 * (1.0 + 1e-9)]))
+        for X in xs.tolist():
             before = len(calls)
-            _bessel_K(1j * w, float(X))
-            assert len(calls) == before + 1, (w, X)
+            _bessel_K(1j * w, X)
+            assert calls[before:] == [_expected_k_route(w, X)], (w, X)
     assert set(calls) == set(routes)
+
+
+@pytest.mark.parametrize("w", [0.05, 2.0, 3.0, 3.05, 20.0])
+def test_bessel_k_grid_point_takes_the_float_route(monkeypatch, w):
+    # each X of a grid reaches the route that X alone reaches
+    seen = []
+
+    def tagged(name, route):
+        def wrapper(nu, X):
+            seen.extend((x, name) for x in np.atleast_1d(X).tolist())
+            return route(nu, X)
+        return wrapper
+
+    for name in ("_k_quadrature", "_k_reflection", "_k_contour", "_k_contour_grid"):
+        monkeypatch.setattr(specfun, name,
+                            tagged(name.removesuffix("_grid"), getattr(specfun, name)))
+    X = np.unique(np.concatenate((
+        np.geomspace(1e-3, 1.1 * w + 10.0, 40),
+        [0.1 * (1.0 - 1e-9), 0.1 * (1.0 + 1e-9),
+         1.05 * w * (1.0 - 1e-9), 1.05 * w * (1.0 + 1e-9)])))
+    _bessel_K(1j * w, X)
+    grid = sorted(seen)
+    seen.clear()
+    for x in X.tolist():
+        _bessel_K(1j * w, x)
+    assert grid == sorted(seen)
+    assert seen == [(x, _expected_k_route(w, x)) for x in X.tolist()]
 
 
 def test_bessel_k_positive_and_decaying_in_X():
