@@ -418,6 +418,8 @@ def near_turning_exponent(p: ModeParams, window: float = 0.02, n: int = 33,
 
 
 _CROSSING_SEARCH = 3.0
+# grid points per basis_G1 call of the crossing walk: one kernel block
+_CROSSING_BLOCK = 32
 
 
 def envelope_crossing(p: ModeParams) -> float:
@@ -426,33 +428,39 @@ def envelope_crossing(p: ModeParams) -> float:
     The left envelope is |M_plus| + |M_minus| of the closed-form
     amplitudes; returns the largest z in [z0 - 3, z0 + 3] where
     |G1| crosses that envelope over e.  A 601-point grid is walked from
-    the right and stops at the first point with |G1| >= envelope / e,
-    so the kernels left of the crossing are never evaluated; bisection
-    then refines the bracket and stops once its ends are adjacent
-    doubles, where no further step can move them.
+    the right in blocks of 32 points, one grid call each, and stops at the
+    first block that holds a point with |G1| >= envelope / e, so at most
+    31 kernel values left of the crossing are evaluated; bisection from
+    that block's rightmost such point then refines the bracket and stops
+    once its ends are adjacent doubles, where no further step can move
+    them.
     """
     _require_kappa(p)
     amps = amplitudes_analytic(BasisBranch.HANKEL1, p)
     target = (abs(amps.Mplus) + abs(amps.Mminus)) / math.e
     z0 = turning_point(p).z0
 
-    def mag(z):
-        return abs(basis_G1(BasisBranch.HANKEL1, p.omega,
-                            p.kappa * math.exp(z)).value)
+    def mag(X):
+        return abs(basis_G1(BasisBranch.HANKEL1, p.omega, X).value)
 
     zs = np.linspace(z0 - _CROSSING_SEARCH, z0 + _CROSSING_SEARCH, 601)
-    last = len(zs) - 1
-    i = last
-    while i >= 0 and not mag(float(zs[i])) >= target:
-        i -= 1
-    if i < 0 or i == last:
+    # math.exp, not np.exp: each X is the one the bisection's float z gives
+    X = p.kappa * np.array([math.exp(z) for z in zs.tolist()])
+    i = -1
+    for end in range(len(zs), 0, -_CROSSING_BLOCK):
+        start = max(end - _CROSSING_BLOCK, 0)
+        above = np.flatnonzero(mag(X[start:end]) >= target)
+        if above.size:
+            i = start + int(above[-1])
+            break
+    if i < 0 or i == len(zs) - 1:
         raise ConditioningError("no envelope crossing inside the search window")
     lo, hi = float(zs[i]), float(zs[i + 1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if mag(mid) >= target:
+        if mag(p.kappa * math.exp(mid)) >= target:
             lo = mid
         else:
             hi = mid

@@ -194,6 +194,12 @@ def _pointwise(route):
     return block
 
 
+def _at_float(block, nu: complex, X: float):
+    """A block route at one float X: a one-element block."""
+    value, err = block(nu, np.array([X]))
+    return complex(value[0]), float(err[0])
+
+
 # ---------------------------------------------------------------------------
 # I_nu(X)
 
@@ -261,32 +267,12 @@ def _i_series_grid(nu: complex, X: np.ndarray):
     return totals[rows, stop], size[rows, stop] + 1e-16 * biggest
 
 
-def _i_asymptotic(nu: complex, X: float):
-    """Large-argument expansion e^X/sqrt(2 pi X) * sum_k (-1)^k a_k(nu)/X^k."""
-    four_nu2 = 4.0 * nu * nu
-    term = 1.0 + 0.0j
-    total = term
-    best = abs(term)
-    err = math.inf
-    for k in range(60):
-        term = term * -(four_nu2 - (2 * k + 1.0) ** 2) / (8.0 * (k + 1.0) * X)
-        if abs(term) >= best:
-            err = abs(term)
-            break
-        best = abs(term)
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            err = abs(term)
-            break
-    prefac = math.exp(X - 0.5 * math.log(2.0 * math.pi * X))
-    return prefac * total, prefac * (err if math.isfinite(err) else best)
+def _i_asymptotic(nu: complex, X: np.ndarray):
+    """Large-argument expansion e^X/sqrt(2 pi X) * sum_k (-1)^k a_k(nu)/X^k
+    on a block of X: one (X x term) array of 61 terms.
 
-
-def _i_asymptotic_grid(nu: complex, X: np.ndarray):
-    """`_i_asymptotic` on a block of X: one (X x term) array of 61 terms.
-
-    Each X's row stops where `_i_asymptotic` stops: at the first term that
-    fails to shrink (dropped) or is below 1e-16 of the sum (kept).
+    Each X's row stops at its first term that fails to shrink (dropped) or
+    is below 1e-16 of the sum (kept).
     """
     k = np.arange(60)
     step = -(4.0 * nu * nu - (2 * k + 1.0) ** 2) / (8.0 * (k + 1.0))
@@ -311,10 +297,10 @@ def _bessel_I(nu: complex, X):
     switch = max(_SERIES_SWITCH_X, w * w)
     if isinstance(X, np.ndarray):
         asymptotic = X >= switch
-        return _on_grid(nu, X, ((asymptotic, _i_asymptotic_grid),
+        return _on_grid(nu, X, ((asymptotic, _i_asymptotic),
                                 (~asymptotic, _i_series_grid)))
     if X >= switch:
-        return _i_asymptotic(nu, X)
+        return _at_float(_i_asymptotic, nu, X)
     return _i_series(nu, X)
 
 
@@ -363,13 +349,17 @@ def _k_reflection(nu: complex, X):
         im, em = ip.conjugate(), ep
     else:
         im, em = _bessel_I(-nu, X)
-    s = cmath.sin(cmath.pi * nu)
+    # sin(pi nu) = (-1)^n i sinh(pi w) for the integer n = Re nu of every
+    # caller; cmath.sin would carry the rounding of pi n, about 1e-16 next
+    # to sinh(pi w), a relative error of 4e-17 / w in K at n = +-1
+    sign = -1.0 if nu.real % 2.0 else 1.0
+    s = complex(0.0, sign * math.sinh(math.pi * nu.imag))
     value = cmath.pi * (im - ip) / (2.0 * s)
     err = cmath.pi * (em + ep + 1e-16 * (abs(im) + abs(ip))) / (2.0 * abs(s))
     return value, err
 
 
-def _k_contour(nu: complex, X: float):
+def _k_contour(nu: complex, X: np.ndarray):
     """Trapezoid rule for K_nu(X) = 1/2 int_R e^{-X cosh t + nu t} dt on the
     line Im t = c through the saddle, sin c = Im nu / X (needs X > |Im nu|).
 
@@ -377,44 +367,16 @@ def _k_contour(nu: complex, X: float):
     K_nu = 1/2 e^{-a - w c} e^{i r c}
            int e^{-a (cosh s - 1) + r s} e^{i w (s - sinh s)} ds,
     whose integrand is analytic for |Im s| < pi/2 - |c| and cancels nowhere.
+    X is a block: one (X x node) array, each row masked past its own node
+    count.
     """
-    r, w = nu.real, nu.imag
-    c = math.asin(w / X)
-    a = X * math.cos(c)
-    # the step resolves the Gaussian peak of width a^{-1/2} and stays well
-    # inside the strip of analyticity, which narrows as X -> |w|
-    h = min(0.25 / math.sqrt(a), 0.15 * (0.5 * math.pi - abs(c)))
-    # last node: a (cosh s - 1) - |r| s >= 41.5, below e^{-41.5} ~ 1e-18
-    smax = math.acosh(1.0 + 41.5 / a)
-    for _ in range(3):
-        smax = math.acosh(1.0 + (41.5 + abs(r) * smax) / a)
-    n = math.ceil(smax / h)
-    prefactor = 0.5 * h * math.exp(-a - w * c)
-    if r == 0.0:
-        # f(-s) = conj f(s): the sum is real, twice the half-line sum less f(0)
-        s = h * np.arange(n + 1)
-        f = np.exp(-a * (np.cosh(s) - 1.0)) * np.cos(w * (s - np.sinh(s)))
-        total = 2.0 * f.sum() - f[0]
-        abs_total = 2.0 * np.abs(f).sum() - abs(f[0])
-    else:
-        s = h * np.arange(-n, n + 1)
-        f = np.exp(-a * (np.cosh(s) - 1.0) + r * s + 1j * (w * (s - np.sinh(s))))
-        total = f.sum() * cmath.exp(1j * r * c)
-        abs_total = np.abs(f).sum()
-    value = prefactor * complex(total)
-    # rounding in the sum, plus the conditioning of e^{-a - w c} on a and c
-    err = 2.2e-16 * (4.0 * prefactor * float(abs_total)
-                     + (2.0 + a + abs(w * c)) * abs(value))
-    return value, err
-
-
-def _k_contour_grid(nu: complex, X: np.ndarray):
-    """`_k_contour` on a block of X: one (X x node) array, each row masked
-    past its own node count."""
     r, w = nu.real, nu.imag
     c = np.arcsin(w / X)
     a = X * np.cos(c)
+    # the step resolves the Gaussian peak of width a^{-1/2} and stays well
+    # inside the strip of analyticity, which narrows as X -> |w|
     h = np.minimum(0.25 / np.sqrt(a), 0.15 * (0.5 * math.pi - np.abs(c)))
+    # last node: a (cosh s - 1) - |r| s >= 41.5, below e^{-41.5} ~ 1e-18
     smax = np.arccosh(1.0 + 41.5 / a)
     for _ in range(3):
         smax = np.arccosh(1.0 + (41.5 + abs(r) * smax) / a)
@@ -423,6 +385,7 @@ def _k_contour_grid(nu: complex, X: np.ndarray):
     k = np.arange(n.max() + 1.0)
     a, h, n = a[:, None], h[:, None], n[:, None]
     if r == 0.0:
+        # f(-s) = conj f(s): the sum is real, twice the half-line sum less f(0)
         s = h * k
         f = np.where(k <= n, np.exp(-a * (np.cosh(s) - 1.0))
                      * np.cos(w * (s - np.sinh(s))), 0.0)
@@ -446,11 +409,11 @@ def _bessel_K(nu: complex, X):
     if isinstance(X, np.ndarray):
         contour = X > 1.05 * w
         quadrature = ~contour & (X > _K_QUAD_X_MIN) & (w <= 3.0)
-        return _on_grid(nu, X, ((contour, _k_contour_grid),
+        return _on_grid(nu, X, ((contour, _k_contour),
                                 (quadrature, _pointwise(_k_quadrature)),
                                 (~contour & ~quadrature, _k_reflection)))
     if X > 1.05 * w:
-        return _k_contour(nu, X)
+        return _at_float(_k_contour, nu, X)
     if w <= 3.0 and X > _K_QUAD_X_MIN:
         return _k_quadrature(nu, X)
     return _k_reflection(nu, X)

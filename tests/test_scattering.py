@@ -309,7 +309,7 @@ def test_envelope_crossing_matches_full_scan(monkeypatch):
             calls.clear()
             got = scattering.envelope_crossing(p)
             assert got == _envelope_crossing_full_scan(p), (w, k)
-            assert len(calls) <= 400, (w, k, len(calls))
+            assert len(calls) <= 80, (w, k, len(calls))
     # no crossing in the window at w = 0.05; the window leaves X <= 700
     # at w = 40
     for w, exc in ((0.05, ConditioningError), (40.0, RangeError)):
