@@ -34,12 +34,21 @@ On a grid (`basis_G1` and `recurrence_shift` take a 1-D array of X) the
 same switches split X once, so each point takes the route it takes
 alone, and each route runs on its whole share of the grid, at most 32 X
 at a time: the I series and the asymptotic expansion as one (X x term)
-array (`_i_series_grid`, `_i_asymptotic_grid`), the saddle-line rule as
-one (X x node) array (`_k_contour_grid`), the reflection route from
-those I arrays, and the quadrature point by point.  Blocks of 32 keep
-the temporaries to about 1 MB and let each block size its term count
-from its own largest X.  A float X runs the scalar code, which is
-faster for a single point.
+array (`_i_series_grid`, `_i_asymptotic`), the saddle-line rule as one
+(X x node) array (`_k_contour`), the reflection route from those I
+arrays, and the quadrature point by point.  Blocks of 32 keep the
+temporaries to about 1 MB and let each block size its term count from
+its own largest X.
+
+A float X on the saddle-line and asymptotic routes runs the same block
+code on a one-element array, so each of those routes has one
+implementation.  The quadrature and the reflection route take a float
+as it is, and the ascending series keeps a scalar twin, `_i_series`:
+a one-X series block costs 76-80 us against 15-24 us for the scalar
+loop at X <= 5 (2-vCPU Xeon VM), and with the twin deleted the
+`residuals` benchmark workload, which calls the kernels one point at a
+time, read its median op time 37% higher (19.2 -> 26.0 and 20.5 ->
+28.2 ms in two pairs of 8-second runs).
 
 All three K routes are kept callable so tests can compare them.
 """

@@ -113,9 +113,9 @@ def test_bessel_k_against_mpmath():
 
 @pytest.mark.parametrize("w", [1e-4, 1e-6, 1e-7])
 def test_bessel_k_unit_shift_at_tiny_omega(w):
-    # at Re nu = +-1 the reflection route divides by sin(pi nu); computed
-    # as cmath.sin(pi * nu), the rounding of pi n next to sinh(pi w) gave a
-    # relative error of about 4e-17 / w (3.9e-10 at w = 1e-7)
+    # at Re nu = +-1 the reflection route divides by sin(pi nu) =
+    # -i sinh(pi w); the rounding of pi n inside a computed sin(pi nu)
+    # would add a relative error of about 4e-17 / w (3.9e-10 at w = 1e-7)
     with mpmath.workdps(40):
         for X in (0.5 * w, w):
             for shift in (-1.0, 1.0):
