@@ -7,6 +7,13 @@ The integrator and the fit are independent oracles for the closed-form
 code paths, and that independence is what makes the cross-validation
 meaningful.  The quadrature is not: `specfun` imports `quad_adaptive` as
 its K_{i omega} route for omega <= 3 and 0.1 < X <= 1.05 omega.
+
+`quad_adaptive` is on that route's hot path, so its bookkeeping is lean:
+`_gk15` is unrolled, and the panels live in parallel lists (ends, value,
+error, squared error over tol) updated in place, so each subdivision
+costs one `sum` and one `index(max(...))` over plain lists.  The sums
+add the panels in a fixed order, and tests pin the (value, error) bits
+of several real and complex integrands.
 """
 
 from __future__ import annotations
@@ -288,9 +295,6 @@ _WG1, _WG3, _WG5, _WG7 = (
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
 )
-# Kronrod weight of each value in the order _gk15 collects them
-_GK_WEIGHTS = (_WK7, _WK0, _WK0, _WK1, _WK1, _WK2, _WK2, _WK3, _WK3,
-               _WK4, _WK4, _WK5, _WK5, _WK6, _WK6)
 
 
 def _gk15(f, a, b):
@@ -322,12 +326,19 @@ def _gk15(f, a, b):
     # `floor` is the double-precision floor: cancellation across nodes
     # cannot be beaten
     mean = ik / (b - a)
-    resasc = floor = 0.0
-    for v, w in zip((fc, p0, m0, p1, m1, p2, m2, p3, m3, p4, m4, p5, m5,
-                     p6, m6), _GK_WEIGHTS):
-        resasc += w * abs(v - mean)
-        floor += w * abs(v)
-    resasc *= abs(half)
+    resasc = (_WK7 * abs(fc - mean) + _WK0 * abs(p0 - mean)
+              + _WK0 * abs(m0 - mean) + _WK1 * abs(p1 - mean)
+              + _WK1 * abs(m1 - mean) + _WK2 * abs(p2 - mean)
+              + _WK2 * abs(m2 - mean) + _WK3 * abs(p3 - mean)
+              + _WK3 * abs(m3 - mean) + _WK4 * abs(p4 - mean)
+              + _WK4 * abs(m4 - mean) + _WK5 * abs(p5 - mean)
+              + _WK5 * abs(m5 - mean) + _WK6 * abs(p6 - mean)
+              + _WK6 * abs(m6 - mean)) * abs(half)
+    floor = (_WK7 * abs(fc) + _WK0 * abs(p0) + _WK0 * abs(m0)
+             + _WK1 * abs(p1) + _WK1 * abs(m1) + _WK2 * abs(p2)
+             + _WK2 * abs(m2) + _WK3 * abs(p3) + _WK3 * abs(m3)
+             + _WK4 * abs(p4) + _WK4 * abs(m4) + _WK5 * abs(p5)
+             + _WK5 * abs(m5) + _WK6 * abs(p6) + _WK6 * abs(m6))
     if resasc > 0.0 and diff > 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
     else:
@@ -352,23 +363,33 @@ def quad_adaptive(f, interval, tol=1e-12, limit=2000):
     if not tol > 0.0:
         raise DomainError(f"quad_adaptive: tol = {tol} must be positive")
 
-    segments = [( *_gk15(f, a, b), a, b )]
+    # one entry per panel in each list: its ends, value, error and squared
+    # error in units of tol.  Squared panel errors below ~1e-154 would
+    # underflow to 0 and pass any tol; r * r overflows to inf where ** 2
+    # raises.  A split panel's left half takes its place and the right
+    # half goes last, so every sum runs over the panels in a fixed order
+    value, err = _gk15(f, a, b)
+    ends, values, errs, sq = [(a, b)], [value], [err], [(r := err / tol) * r]
     while True:
-        # in units of tol: squared panel errors below ~1e-154 would underflow
-        # to 0 and pass any tol; r * r overflows to inf where ** 2 raises
-        ratio = math.sqrt(sum((r := s[1] / tol) * r for s in segments))
+        ratio = math.sqrt(sum(sq))
         if ratio <= 1.0:
-            return sum(s[0] for s in segments), ratio * tol
-        if len(segments) >= limit:
+            return sum(values), ratio * tol
+        if len(errs) >= limit:
             raise AccuracyError(
                 f"quad_adaptive: {limit} segments, error "
-                f"{math.hypot(*(s[1] for s in segments)):.3e} > {tol:.3e}"
+                f"{math.hypot(*errs):.3e} > {tol:.3e}"
             )
-        worst = max(range(len(segments)), key=lambda i: segments[i][1])
-        _, _, lo, hi = segments[worst]
+        worst = errs.index(max(errs))
+        lo, hi = ends[worst]
         mid = 0.5 * (lo + hi)
-        segments[worst] = (*_gk15(f, lo, mid), lo, mid)
-        segments.append((*_gk15(f, mid, hi), mid, hi))
+        value, err = _gk15(f, lo, mid)
+        ends[worst], values[worst], errs[worst] = (lo, mid), value, err
+        sq[worst] = (r := err / tol) * r
+        value, err = _gk15(f, mid, hi)
+        ends.append((mid, hi))
+        values.append(value)
+        errs.append(err)
+        sq.append((r := err / tol) * r)
 
 
 def lsq_fit_two_waves(samples, omega):

@@ -164,6 +164,59 @@ def test_quad_error_estimate_honest_for_tiny_integrals():
     assert abs(val) < math.exp(-20.0)
 
 
+# (value, error) of quad_adaptive, pinned bit for bit: real and complex
+# integrands, among them those of specfun._k_quadrature at Re nu = 0 and
+# +-1, each at two tolerances
+_QUAD_CASES = {
+    "exp": (lambda t: math.exp(-t), (0.0, 40.0)),
+    "sqrt": (math.sqrt, (0.0, 1.0)),
+    "oscillatory": (lambda t: math.exp(-math.cosh(t)) * math.cos(10.0 * t),
+                    (0.0, 40.0)),
+    "gauss_phase": (lambda t: cmath.exp(3j * t - t * t), (-6.0, 6.0)),
+    "k_nu=2i": (lambda t: math.exp(-math.cosh(t)) * math.cos(2.0 * t),
+                (0.0, 5.5)),
+    "k_nu=1+2i": (lambda t: cmath.exp(-math.cosh(t))
+                  * cmath.cosh((1.0 + 2.0j) * t), (0.0, 5.5)),
+    "k_nu=-1+0.5i": (lambda t: cmath.exp(-0.3 * math.cosh(t))
+                     * cmath.cosh((-1.0 + 0.5j) * t), (0.0, 6.5)),
+}
+_QUAD_GOLDEN = {
+    ("exp", 1e-08): (0.9999999999999972, 7.0607706389398e-11),
+    ("exp", 1e-13): (0.9999999999999971, 4.668331335288747e-14),
+    ("sqrt", 1e-08): (0.6666666666689335, 3.808498372491285e-09),
+    ("sqrt", 1e-13): (0.6666666666666645, 4.1093093471078775e-14),
+    ("oscillatory", 1e-08): (1.129455080361118e-07, 1.868077661001204e-09),
+    ("oscillatory", 1e-13): (1.1294550820702367e-07, 6.6845492841679445e-15),
+    ("gauss_phase", 1e-08): ((0.1868152614571311-8.131516293641283e-18j),
+                             1.2826695253865682e-10),
+    ("gauss_phase", 1e-13): ((0.18681526145713115+0j), 8.974247925470758e-14),
+    ("k_nu=2i", 1e-08): (0.08061699762236574, 3.7466217312398585e-10),
+    ("k_nu=2i", 1e-13): (0.08061699762236574, 1.6304403351335984e-15),
+    ("k_nu=1+2i", 1e-08): ((-0.015266580905376892+0.1612339952447315j),
+                           3.079309561643849e-09),
+    ("k_nu=1+2i", 1e-13): ((-0.015266580905376956+0.16123399524473145j),
+                           7.374648136709407e-14),
+    ("k_nu=-1+0.5i", 1e-08): ((1.9137189407779414-1.834880304565572j),
+                              5.831217612372597e-09),
+    ("k_nu=-1+0.5i", 1e-13): ((1.913718940777942-1.8348803045655722j),
+                              8.52096516994326e-14),
+}
+
+
+@pytest.mark.parametrize("name, tol", sorted(_QUAD_GOLDEN))
+def test_quad_adaptive_golden_bits(name, tol):
+    f, interval = _QUAD_CASES[name]
+    got = quad_adaptive(f, interval, tol=tol)
+    assert repr(got) == repr(_QUAD_GOLDEN[name, tol])
+
+
+def test_quad_adaptive_golden_accuracy_error():
+    with pytest.raises(AccuracyError) as info:
+        quad_adaptive(math.sqrt, (0.0, 1.0), tol=1e-15, limit=8)
+    assert str(info.value) == (
+        "quad_adaptive: 8 segments, error 1.560e-05 > 1.000e-15")
+
+
 def test_fit_exact_two_waves():
     w = 2.0
     zs = np.linspace(-8.0, -6.0, 16)

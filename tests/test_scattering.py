@@ -309,7 +309,7 @@ def test_envelope_crossing_matches_full_scan(monkeypatch):
             calls.clear()
             got = scattering.envelope_crossing(p)
             assert got == _envelope_crossing_full_scan(p), (w, k)
-            assert len(calls) <= 80, (w, k, len(calls))
+            assert len(calls) <= 40, (w, k, len(calls))
     # no crossing in the window at w = 0.05; the window leaves X <= 700
     # at w = 40
     for w, exc in ((0.05, ConditioningError), (40.0, RangeError)):
@@ -318,3 +318,49 @@ def test_envelope_crossing_matches_full_scan(monkeypatch):
             _envelope_crossing_full_scan(p)
         with pytest.raises(exc):
             scattering.envelope_crossing(p)
+
+
+def test_envelope_crossing_brackets_the_target():
+    # the returned z is one end of an adjacent-double pair with |G1| at
+    # least the target at its left end and below it at its right end,
+    # whatever path the refinement took to reach it
+    rng = np.random.default_rng(14)
+    checked = 0
+    for _ in range(110):
+        w = math.exp(rng.uniform(math.log(0.06), math.log(38.0)))
+        k = rng.uniform(0.2, 5.0)
+        theta = rng.uniform(0.0, 0.5 * math.pi)
+        p = ModeParams(w, k * math.cos(theta), k * math.sin(theta))
+        try:
+            z = scattering.envelope_crossing(p)
+        except (ConditioningError, RangeError):
+            continue  # no crossing in the window, or X past 700 above w = 34.8
+        amps = amplitudes_analytic(BasisBranch.HANKEL1, p)
+        target = (abs(amps.Mplus) + abs(amps.Mminus)) / math.e
+
+        def above(z):
+            X = p.kappa * math.exp(z)
+            return abs(basis_G1(BasisBranch.HANKEL1, w, X).value) >= target
+
+        if above(z):
+            assert not above(math.nextafter(z, math.inf)), (w, k, z)
+        else:
+            assert above(math.nextafter(z, -math.inf)), (w, k, z)
+        checked += 1
+    assert checked >= 100
+
+
+def test_tiny_kappa_raises_range_error():
+    # (omega/kappa)^2 = e^{2 z0} past the double range: one RangeError, not
+    # a bare OverflowError (kappa = 1e-155, 1e-300) or z0 = inf and a NaN
+    # grid (1e-320)
+    for k in (1e-155, 1e-300, 1e-320):
+        p = ModeParams(1.0, k, 0.0)
+        with pytest.raises(RangeError):
+            turning_point(p)
+        with pytest.raises(RangeError):
+            scattering.envelope_crossing(p)
+    # the smallest decade that fits keeps its value
+    p = ModeParams(1.0, 1e-154, 0.0)
+    assert turning_point(p).z0 == math.log(1e154)
+    assert scattering.envelope_crossing(p) == 354.9062404593509
