@@ -74,29 +74,21 @@ def hyperboloid_constraint():
     return worst
 
 
-def _maxwell_points():
-    """Six modes x {hankel1, bessel+} x 200 heights, then (2, 1, 1) x
-    every branch x 11 heights."""
+@functools.lru_cache(maxsize=1)
+def _maxwell_worst():
+    """Worst first-order and matrix residuals over six modes x {hankel1,
+    bessel+} x 200 heights, then (2, 1, 1) x every branch x 11 heights:
+    one mode stack per (mode, branch) grid, which both checks read."""
     modes = (ModeParams(2.0, 1.0, 1.0), ModeParams(2.0, 1.0, 0.0),
              ModeParams(0.5, 0.3, 0.4), ModeParams(5.0, 2.0, 1.0),
              ModeParams(1.0, 0.2, 1.0), ModeParams(10.0, 1.0, 1.0))
-    for p in modes:
-        for br in (BasisBranch.HANKEL1, BasisBranch.BESSEL_PLUS):
-            for z in np.linspace(-5.0, 1.5, 200):
-                yield br, p, float(z)
-    p = ModeParams(2.0, 1.0, 1.0)
-    for br in BasisBranch:
-        for z in np.linspace(-4.0, 1.0, 11):
-            yield br, p, float(z)
-
-
-@functools.lru_cache(maxsize=1)
-def _maxwell_worst():
-    """Worst first-order and matrix residuals, from one pass over the
-    mode stacks of _maxwell_points (both checks read it)."""
+    grids = [(br, p, np.linspace(-5.0, 1.5, 200)) for p in modes
+             for br in (BasisBranch.HANKEL1, BasisBranch.BESSEL_PLUS)]
+    grids += [(br, ModeParams(2.0, 1.0, 1.0), np.linspace(-4.0, 1.0, 11))
+              for br in BasisBranch]
     first = matrix = 0.0
-    for br, p, z in _maxwell_points():
-        amps = amplitudes_at(br, p, z)
+    for br, p, zs in grids:
+        amps = amplitudes_at(br, p, zs)
         first = max(first, maxwell_residual_firstorder(amps, p))
         matrix = max(matrix, maxwell_residual_matrix(amps, p))
     return first, matrix
@@ -202,13 +194,13 @@ def _ode_deviation(branch, p, span):
     """Largest |G1_ode - G1| / max |G1| at 25 points of span, the ODE run
     seeded with the closed form at span[0]."""
     w, k = p.omega, p.kappa
-    zs = list(np.linspace(span[0], span[1], 25))
+    zs = np.linspace(span[0], span[1], 25)
     g1_seed, _ = eval_G(branch, p, span[0])
     dg1_seed = recurrence_shift(branch, w, k * math.exp(span[0])).value
     res = integrate_linear_ode2(
         lambda z: k * k * math.exp(2.0 * z), w * w, span, (g1_seed, dg1_seed),
-        tol=ToleranceSpec(rel_tol=1e-11, abs_tol=0.0), outputs=zs)
-    closed = np.array([eval_G(branch, p, z)[0] for z in zs])
+        tol=ToleranceSpec(rel_tol=1e-11, abs_tol=0.0), outputs=zs.tolist())
+    closed = eval_G(branch, p, zs)[0]
     return (float(np.max(np.abs(np.array(res.u) - closed)))
             / float(np.max(np.abs(closed))))
 

@@ -11,6 +11,10 @@ assembled stack against the four-line first-order system and against
 the equivalent 4x4 matrix operator, with all z-derivatives supplied
 analytically through the Bessel recurrences (never finite differences,
 so the residuals measure exactness rather than discretization error).
+
+The stack and both residuals take a float z or a 1-D array of z through
+the same expressions: a grid's stack holds arrays from one kernel call,
+and a residual is the worst over the grid.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateModeError, DomainError
-from .specfun import BasisBranch, basis_G1, recurrence_shift
+from .specfun import _LOG_DOUBLE_MAX, BasisBranch, basis_G1, recurrence_shift
 
 __all__ = [
     "BasisBranch",
@@ -62,7 +66,8 @@ class ModeParams:
 
 @dataclass(frozen=True)
 class ModeAmplitudes:
-    """Scalar profile stack of a mode at height z.
+    """Scalar profile stack of a mode at height z, or arrays of it on a
+    1-D grid of z.
 
     For kappa > 0 the pair (F1, F2) is the fixed orthogonal rotation of
     (G1, G2) and f1 = e^z F1, f2 = e^z F2 hold exactly by construction.
@@ -126,11 +131,15 @@ def _require_kappa(p: ModeParams):
         )
 
 
-def _exp_or_inf(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
+def _exp_z(z):
+    """e^z for a float or a 1-D array: math.exp on each element, so a grid
+    gives each float z's X to the bit.  Past the double range it is inf,
+    which the kernels reject with a RangeError, after any finite X > 700
+    before it on a grid."""
+    if isinstance(z, np.ndarray):
+        return np.array([math.inf if v > _LOG_DOUBLE_MAX else math.exp(v)
+                         for v in z.tolist()])
+    return math.inf if z > _LOG_DOUBLE_MAX else math.exp(z)
 
 
 def eval_G(branch: BasisBranch, p: ModeParams, z):
@@ -140,14 +149,8 @@ def eval_G(branch: BasisBranch, p: ModeParams, z):
     one kernel call over the whole grid.
     """
     _require_kappa(p)
-    if isinstance(z, np.ndarray):
-        # math.exp, not np.exp: each X is the one a float z gives, to the
-        # bit.  An e^z past the double range becomes inf, which the kernels
-        # reject with a RangeError, after any finite X > 700 before it
-        with np.errstate(over="ignore"):
-            X = p.kappa * np.array([_exp_or_inf(v) for v in z.tolist()])
-    else:
-        X = p.kappa * math.exp(z)
+    with np.errstate(over="ignore"):
+        X = p.kappa * _exp_z(z)
     # G2 first: it is not finite wherever G1 is not, so a grid raises
     # the error that a point-by-point loop would meet first
     g2 = recurrence_shift(branch, p.omega, X).value / p.omega
@@ -163,8 +166,9 @@ def F_from_G(g1: complex, g2: complex, p: ModeParams):
     return f1, f2
 
 
-def amplitudes_at(branch: BasisBranch, p: ModeParams, z: float) -> ModeAmplitudes:
-    """Assemble the full profile stack (G, F, f) of a mode at height z.
+def amplitudes_at(branch: BasisBranch, p: ModeParams, z) -> ModeAmplitudes:
+    """Assemble the full profile stack (G, F, f) of a mode at height z,
+    a float or a 1-D array.
 
     f3 is built from the transverse amplitudes, which collapses to the
     single-kernel form (kappa / (i omega)) e^{2z} G1.
@@ -172,7 +176,7 @@ def amplitudes_at(branch: BasisBranch, p: ModeParams, z: float) -> ModeAmplitude
     _require_kappa(p)
     g1, g2 = eval_G(branch, p, z)
     F1, F2 = F_from_G(g1, g2, p)
-    ez = math.exp(z)
+    ez = _exp_z(z)
     e2z = ez * ez
     f3 = (e2z / p.omega) * (-1j * p.b * F1 + 1j * p.a * F2)
     return ModeAmplitudes(
@@ -183,7 +187,7 @@ def amplitudes_at(branch: BasisBranch, p: ModeParams, z: float) -> ModeAmplitude
 def f3_single_kernel(amps: ModeAmplitudes, p: ModeParams) -> complex:
     """The reduced f3 route kappa/(i omega) e^{2z} G1; must equal amps.f3."""
     _require_kappa(p)
-    e2z = math.exp(2.0 * amps.z)
+    e2z = _exp_z(2.0 * amps.z)
     return p.kappa / (1j * p.omega) * e2z * amps.G1
 
 
@@ -211,14 +215,13 @@ def assemble_field(branch: BasisBranch, p: ModeParams, t: float, x: float,
 
 def _deriv_stack(amps: ModeAmplitudes, p: ModeParams):
     """Analytic z-derivatives (f1', f2', f3') of the profile stack."""
+    ez = _exp_z(amps.z)
     if p.kappa == 0.0:
         # degenerate plane wave: F1' = omega F2, F2' = -omega F1, f3 = 0
         dF1 = p.omega * amps.F2
         dF2 = -p.omega * amps.F1
-        ez = math.exp(amps.z)
         return ez * (amps.F1 + dF1), ez * (amps.F2 + dF2), 0.0 + 0.0j
     # G1' = omega G2 and G2' = (X^2 - omega^2) / omega G1, X = kappa e^z
-    ez = math.exp(amps.z)
     X = p.kappa * ez
     dg1 = p.omega * amps.G2
     dg2 = (X * X - p.omega * p.omega) / p.omega * amps.G1
@@ -232,43 +235,43 @@ def _deriv_stack(amps: ModeAmplitudes, p: ModeParams):
     return ez * (amps.F1 + dF1), ez * (amps.F2 + dF2), df3
 
 
-def _firstorder_equations(f, df, p: ModeParams, z: float):
+def _firstorder_equations(f, df, p: ModeParams, z):
     """The four first-order equation values for a stack (f1,f2,f3) and its
-    z-derivatives; each entry is (lhs_value, scale_of_largest_term)."""
+    z-derivatives; each entry is (lhs_value, scale_of_largest_term), both
+    arrays on a grid of z."""
     f1, f2, f3 = f
     df1, df2, df3 = df
     a, b, w = p.a, p.b, p.omega
-    ez = math.exp(z)
-    eqs = []
-    t = (1j * a * ez * f1, 1j * b * ez * f2, df3 - 2.0 * f3)
-    eqs.append((sum(t), max(abs(v) for v in t)))
-    t = (-w * f1, -(df2 - f2), 1j * b * ez * f3)
-    eqs.append((sum(t), max(abs(v) for v in t)))
-    t = (-w * f2, (df1 - f1), -1j * a * ez * f3)
-    eqs.append((sum(t), max(abs(v) for v in t)))
-    t = (-w * f3, -1j * b * ez * f1, 1j * a * ez * f2)
-    eqs.append((sum(t), max(abs(v) for v in t)))
-    return eqs
+    ez = _exp_z(z)
+    # axes: line, term, and the heights of a grid
+    t = np.array((
+        (1j * a * ez * f1, 1j * b * ez * f2, df3 - 2.0 * f3),
+        (-w * f1, -(df2 - f2), 1j * b * ez * f3),
+        (-w * f2, (df1 - f1), -1j * a * ez * f3),
+        (-w * f3, -1j * b * ez * f1, 1j * a * ez * f2),
+    ))
+    return list(zip(t.sum(axis=1), abs(t).max(axis=1)))
 
 
 def maxwell_residual_firstorder(amps: ModeAmplitudes, p: ModeParams) -> float:
     """Max residual of the four-line first-order system, relative to the
-    largest additive term of each line.  Exact modes give <= 1e-8."""
+    largest additive term of each line, over every z of the stack.  Exact
+    modes give <= 1e-8."""
     f = (amps.f1, amps.f2, amps.f3)
     df = _deriv_stack(amps, p)
-    worst = 0.0
-    for lhs, scale in _firstorder_equations(f, df, p, amps.z):
-        worst = max(worst, abs(lhs) / max(scale, 1e-300))
-    return worst
+    lhs, scale = zip(*_firstorder_equations(f, df, p, amps.z))
+    return float((np.abs(lhs) / np.maximum(scale, 1e-300)).max())
 
 
 def maxwell_residual_matrix(amps: ModeAmplitudes, p: ModeParams) -> float:
-    """Residual of the 4x4 complex-matrix operator applied to (0, f)."""
+    """Residual of the 4x4 complex-matrix operator applied to (0, f), over
+    every z of the stack."""
     m = MAXWELL_MATRICES
-    psi = np.array([0.0, amps.f1, amps.f2, amps.f3], dtype=complex)
-    df = _deriv_stack(amps, p)
-    dpsi = np.array([0.0, df[0], df[1], df[2]], dtype=complex)
-    ez = math.exp(amps.z)
+    # rows are the four components, columns the heights of a grid
+    zero = np.zeros_like(amps.f1)
+    psi = np.array([zero, amps.f1, amps.f2, amps.f3], dtype=complex)
+    dpsi = np.array([zero, *_deriv_stack(amps, p)], dtype=complex)
+    ez = _exp_z(amps.z)
     out = (
         -p.omega * psi
         + 1j * p.a * ez * (m.alpha1 @ psi)
@@ -277,14 +280,12 @@ def maxwell_residual_matrix(amps: ModeAmplitudes, p: ModeParams) -> float:
         - m.alpha1 @ (m.s2 @ psi)
         + m.alpha2 @ (m.s1 @ psi)
     )
-    scale = max(
-        p.omega * float(np.max(np.abs(psi))),
-        abs(p.a) * ez * float(np.max(np.abs(psi))),
-        abs(p.b) * ez * float(np.max(np.abs(psi))),
-        float(np.max(np.abs(dpsi))),
-        1e-300,
-    )
-    return float(np.max(np.abs(out))) / scale
+    # the largest coefficient times max |psi|: rounding is monotone, so
+    # this is the largest of the products, to the bit
+    coef = np.maximum(p.omega, max(abs(p.a), abs(p.b)) * ez)
+    scale = np.maximum(coef * abs(psi).max(axis=0),
+                       np.maximum(abs(dpsi).max(axis=0), 1e-300))
+    return float((abs(out).max(axis=0) / scale).max())
 
 
 def plane_wave_special(sign: int, omega: float, t: float, z: float) -> FieldVector:
@@ -298,6 +299,7 @@ def heun_form_residual(branch: BasisBranch, p: ModeParams, z_grid) -> float:
     """Residual of the second-order equation for F1 in the variable
     Z = e^z / sqrt(omega), with F1'' by high-order finite differences.
 
+    All five stencil heights of every grid point go to one `eval_G` call.
     The grid must stay clear of the regular singular point
     Z = sqrt(omega)/a; requires a != 0.
     """
@@ -308,28 +310,23 @@ def heun_form_residual(branch: BasisBranch, p: ModeParams, z_grid) -> float:
     z_sing = sw / abs(p.a)
     a2, w = p.a * p.a, p.omega
     U0 = p.kappa * p.kappa
-
-    def F1_of_Z(Z):
-        z = math.log(sw * Z)
-        g1, g2 = eval_G(branch, p, z)
-        return F_from_G(g1, g2, p)[0]
-
-    worst = 0.0
-    for z in z_grid:
-        Z = math.exp(z) / sw
-        h = 1e-3 * Z
-        if abs(Z - z_sing) < 10.0 * h + 0.02 * z_sing:
-            raise DomainError(
-                f"grid point z = {z} too close to the singular point Z = {z_sing}"
-            )
-        f = [F1_of_Z(Z + k * h) for k in (-2, -1, 0, 1, 2)]
-        d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
-        d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (
-            12.0 * h * h
-        )
-        c1 = -(a2 * Z * Z + w) / (Z * (a2 * Z * Z - w))
-        c0 = w * w / (Z * Z) + 2.0 * p.a * p.b * w / (a2 * Z * Z - w) - U0 * w
-        terms = (d2, c1 * d1, c0 * f[2])
-        scale = max(max(abs(v) for v in terms), 1e-300)
-        worst = max(worst, abs(sum(terms)) / scale)
-    return worst
+    zs = np.asarray(z_grid, dtype=float)
+    Z = _exp_z(zs) / sw
+    h = 1e-3 * Z
+    near = np.flatnonzero(np.abs(Z - z_sing) < 10.0 * h + 0.02 * z_sing)
+    if near.size:
+        raise DomainError(f"grid point z = {zs[near[0]]} too close to the "
+                          f"singular point Z = {z_sing}")
+    # centre row first: where e^z overflows, eval_G meets its X = inf and
+    # raises a RangeError before the NaN heights that Z - h = inf - inf gives
+    with np.errstate(invalid="ignore"):
+        stencil = np.array([Z, Z - 2.0 * h, Z - h, Z + h, Z + 2.0 * h])
+    g1, g2 = eval_G(branch, p, np.log(sw * stencil).ravel())
+    f2, f0, f1, f3, f4 = F_from_G(g1, g2, p)[0].reshape(stencil.shape)
+    d1 = (f0 - 8.0 * f1 + 8.0 * f3 - f4) / (12.0 * h)
+    d2 = (-f0 + 16.0 * f1 - 30.0 * f2 + 16.0 * f3 - f4) / (12.0 * h * h)
+    c1 = -(a2 * Z * Z + w) / (Z * (a2 * Z * Z - w))
+    c0 = w * w / (Z * Z) + 2.0 * p.a * p.b * w / (a2 * Z * Z - w) - U0 * w
+    t0, t1, t2 = d2, c1 * d1, c0 * f2
+    scale = np.maximum(np.maximum(abs(t0), abs(t1)), np.maximum(abs(t2), 1e-300))
+    return float(np.max(abs(t0 + t1 + t2) / scale, initial=0.0))

@@ -395,22 +395,24 @@ def quad_adaptive(f, interval, tol=1e-12, limit=2000):
 def lsq_fit_two_waves(samples, omega):
     """Fit G(z) ~ c_plus e^{i omega z} + c_minus e^{-i omega z}.
 
-    `samples` is a sequence of (z, G) pairs with complex G.  Solved by
-    orthogonal factorization; the design matrix condition number must
-    stay below 1e8.  Returns (c_plus, c_minus, max_abs_residual).
+    `samples` is a sequence of finite (z, G) pairs with complex G.  Solved
+    by an SVD; the design matrix condition number, from its singular
+    values, must stay below 1e8.  Returns (c_plus, c_minus, max_abs_residual).
     """
     samples = list(samples)
     if len(samples) < 4:
         raise ConditioningError("two-wave fit needs at least 4 samples")
     zs = np.array([s[0] for s in samples], dtype=float)
     gs = np.array([complex(s[1]) for s in samples], dtype=complex)
+    if not (np.isfinite(zs).all() and np.isfinite(gs).all()):
+        raise ConditioningError("two-wave fit needs finite samples z and G")
     design = np.column_stack([np.exp(1j * omega * zs), np.exp(-1j * omega * zs)])
-    cond = np.linalg.cond(design)
+    coeffs, _, _, sv = np.linalg.lstsq(design, gs, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
     if not np.isfinite(cond) or cond > 1e8:
         raise ConditioningError(
             f"two-wave fit ill-conditioned (cond = {cond:.3e}); "
             "samples must span at least a quarter period"
         )
-    coeffs, *_ = np.linalg.lstsq(design, gs, rcond=None)
     residual = float(np.max(np.abs(design @ coeffs - gs)))
     return complex(coeffs[0]), complex(coeffs[1]), residual

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, RangeError
-from .modes import ModeParams, _require_kappa
+from .modes import ModeParams, _exp_z, _require_kappa
 from .numerics import ToleranceSpec, integrate_linear_ode2, lsq_fit_two_waves
 from .specfun import BasisBranch, basis_G1, log_gamma, recurrence_shift
 
@@ -81,7 +81,8 @@ class BarrierInfo:
 
     def __post_init__(self):
         defect = abs(self.U0 * math.exp(2.0 * self.z0) - self.x0_magnitude ** 2)
-        if defect > 1e-12 * self.x0_magnitude ** 2:
+        # "not <=": a NaN defect (U0 = inf, e^{2 z0} = 0) fails too
+        if not defect <= 1e-12 * self.x0_magnitude ** 2:
             raise DomainError(f"turning-point identity violated by {defect:.3e}")
 
 
@@ -115,20 +116,17 @@ def effective_force(p: ModeParams, z: float) -> float:
 def turning_point(p: ModeParams) -> BarrierInfo:
     """Classical turning point z0 = ln(omega/kappa) where U(z0) = omega^2.
 
-    Raises RangeError where (omega/kappa)^2 = e^{2 z0} is not a finite
-    double (kappa below about omega * 1e-154).
+    Raises RangeError where (omega/kappa)^2 = e^{2 z0} or kappa^2 = U0 is
+    not a finite double (kappa below about omega * 1e-154, or above about
+    1.3e154).
     """
     _require_kappa(p)
     ratio = p.omega / p.kappa
-    if not math.isfinite(ratio * ratio):
-        raise RangeError(
-            f"(omega/kappa)^2 = ({p.omega}/{p.kappa})^2 is past the double range"
-        )
-    return BarrierInfo(
-        z0=math.log(ratio),
-        x0_magnitude=p.omega,
-        U0=p.kappa * p.kappa,
-    )
+    U0 = p.kappa * p.kappa
+    if not (math.isfinite(ratio * ratio) and math.isfinite(U0)):
+        raise RangeError(f"omega = {p.omega}, kappa = {p.kappa}: (omega/kappa)^2"
+                         " or kappa^2 is past the double range")
+    return BarrierInfo(z0=math.log(ratio), x0_magnitude=p.omega, U0=U0)
 
 
 def penetration_depth(omega_physical: float, k1: float, k2: float,
@@ -228,9 +226,9 @@ def _fit_window(p: ModeParams):
 
 
 def _kernel_samples(branch: BasisBranch, p: ModeParams):
-    zs = np.linspace(*_fit_window(p), _FIT_SAMPLES).tolist()
-    X = p.kappa * np.array([math.exp(z) for z in zs])
-    return list(zip(zs, basis_G1(branch, p.omega, X).value.tolist()))
+    zs = np.linspace(*_fit_window(p), _FIT_SAMPLES)
+    X = p.kappa * _exp_z(zs)
+    return list(zip(zs.tolist(), basis_G1(branch, p.omega, X).value.tolist()))
 
 
 def _printed_neumann_R(branch: BasisBranch, omega: float) -> float:
@@ -471,8 +469,8 @@ def envelope_crossing(p: ModeParams) -> float:
         return abs(basis_G1(BasisBranch.HANKEL1, p.omega, X).value)
 
     zs = np.linspace(z0 - _CROSSING_SEARCH, z0 + _CROSSING_SEARCH, 601)
-    # math.exp, not np.exp: each X is the one the refinement's float z gives
-    X = p.kappa * np.array([math.exp(z) for z in zs.tolist()])
+    # each X is the one the refinement's float z gives, to the bit
+    X = p.kappa * _exp_z(zs)
     i = -1
     right = None  # |G1| on the block walked before this one
     for end in range(len(zs), 0, -_CROSSING_BLOCK):
@@ -510,7 +508,7 @@ def envelope_crossing(p: ModeParams) -> float:
                 nudge *= 2.0
             if not lo < z < hi:
                 z = mid
-        m = mag(p.kappa * math.exp(z))
+        m = mag(p.kappa * _exp_z(z))
         g = math.log(m / target)
         if m >= target:
             lo, g_lo = z, g

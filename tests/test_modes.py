@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobwave import modes
-from lobwave.errors import DegenerateModeError, DomainError
+from lobwave import checks, modes
+from lobwave.errors import DegenerateModeError, DomainError, RangeError
 from lobwave.modes import (
     MAXWELL_MATRICES,
     BasisBranch,
@@ -151,6 +151,19 @@ def test_first_equation_implied_by_others():
             assert abs(lhs) <= 1e-12 * max(scale, 1.0)
         lhs, scale = eqs[0]
         assert abs(lhs) <= 1e-12 * max(scale, 1.0)
+    # the same construction on a grid of 50 heights, one call
+    z = rng.uniform(-3.0, 1.0, 50)
+    ez = np.exp(z)
+    f1, f2 = (rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50)))
+    f3 = (-1j * p.b * ez * f1 + 1j * p.a * ez * f2) / p.omega
+    df2 = f2 - p.omega * f1 + 1j * p.b * ez * f3
+    df1 = f1 + p.omega * f2 + 1j * p.a * ez * f3
+    df3 = (-1j * p.b * ez * (f1 + df1) + 1j * p.a * ez * (f2 + df2)) / p.omega
+    eqs = _firstorder_equations((f1, f2, f3), (df1, df2, df3), p, z)
+    assert len(eqs) == 4
+    for lhs, scale in eqs:
+        assert lhs.shape == scale.shape == (50,)
+        assert np.all(np.abs(lhs) <= 1e-12 * np.maximum(scale, 1.0))
 
 
 def test_plane_wave_example_at_origin():
@@ -227,3 +240,98 @@ def test_field_vector_split():
     fv = FieldVector(1.0 + 2.0j, -0.5 + 0.25j, 0.0)
     assert fv.E == (1.0, -0.5, 0.0)
     assert fv.B == (2.0, 0.25, 0.0)
+
+
+def _recorded(monkeypatch, module, name):
+    """Wrap module.name so that each call's positional args are recorded."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _maxwell_grids(monkeypatch):
+    """The (branch, mode, z grid) of each amplitudes_at call of one
+    uncached pass of checks._maxwell_worst."""
+    with monkeypatch.context() as m:
+        calls = _recorded(m, checks, "amplitudes_at")
+        checks._maxwell_worst.__wrapped__()
+    return calls
+
+
+def test_maxwell_worst_makes_one_stack_per_grid(monkeypatch):
+    # 6 modes x {hankel1, bessel+} on 200 heights, then every branch on 11
+    grids = _maxwell_grids(monkeypatch)
+    assert len(grids) == 18
+    assert sum(zs.size for _, _, zs in grids) == 2466
+    assert {br for br, _, _ in grids} == set(BasisBranch)
+
+
+def test_grid_stack_matches_points(monkeypatch):
+    # every field of a grid stack against the float calls, to 1e-12 of the
+    # stack's size at that height: |(G1, G2)| = |(F1, F2)|, times e^z for
+    # f1, f2 and kappa e^{2z} / omega for f3 (single fields cancel to 0).
+    # A grid residual is the worst over its heights; the residuals are
+    # already relative to the largest term, so they agree to 1e-12 outright
+    fields = ("G1", "G2", "F1", "F2", "f1", "f2", "f3")
+    for br, p, zs in _maxwell_grids(monkeypatch):
+        grid = amplitudes_at(br, p, zs)
+        points = [amplitudes_at(br, p, z) for z in zs.tolist()]
+        size = np.array([math.hypot(abs(a.G1), abs(a.G2)) for a in points])
+        ez = np.exp(zs)
+        weight = dict.fromkeys(("G1", "G2", "F1", "F2"), size)
+        weight.update(f1=ez * size, f2=ez * size,
+                      f3=p.kappa * ez * ez * size / p.omega)
+        for name in fields:
+            got = getattr(grid, name)
+            ref = np.array([getattr(a, name) for a in points])
+            assert got.shape == zs.shape
+            assert np.all(np.abs(got - ref) <= 1e-12 * weight[name]), \
+                (br, p, name)
+        assert np.array_equal(grid.z, zs)
+        for residual in (maxwell_residual_firstorder, maxwell_residual_matrix):
+            worst = max(residual(a, p) for a in points)
+            assert abs(residual(grid, p) - worst) <= 1e-12, (br, p, residual)
+            # the same stack values, one height at a time
+            sliced = max(residual(modes.ModeAmplitudes(
+                *(getattr(grid, name)[i] for name in fields), z=float(z)), p)
+                for i, z in enumerate(zs.tolist()))
+            assert residual(grid, p) == pytest.approx(sliced, rel=1e-12)
+
+
+def test_heun_form_residual_one_eval_G_call(monkeypatch):
+    calls = _recorded(monkeypatch, modes, "eval_G")
+    zs = np.linspace(-4.0, 0.0, 21)
+    res = heun_form_residual(BasisBranch.HANKEL1, P_DEFAULT, zs)
+    assert len(calls) == 1
+    assert calls[0][2].shape == (5 * zs.size,)
+    assert res < 1e-5
+
+
+def test_ode_deviation_one_grid_call(monkeypatch):
+    calls = _recorded(monkeypatch, checks, "eval_G")
+    p = ModeParams(1.0, 1.0, 0.0)
+    dev = checks._ode_deviation(BasisBranch.BESSEL_PLUS, p, (-6.0, 3.0))
+    assert dev < 1e-7
+    # the float seed at span[0], then the 25 heights as one grid
+    assert [np.shape(args[2]) for args in calls] == [(), (25,)]
+
+
+def test_float_height_past_exp_range_raises_range_error():
+    # e^710 is past the double range: a float z raises the RangeError a
+    # grid raises (X = inf), not a bare OverflowError
+    # (heun_form_residual takes a grid: a list and an array)
+    br, p = BasisBranch.HANKEL1, P_DEFAULT
+    for fn, heights in ((eval_G, 710.0), (amplitudes_at, 710.0),
+                        (heun_form_residual, [710.0])):
+        messages = []
+        for z in (heights, np.array([710.0])):
+            with pytest.raises(RangeError) as err:
+                fn(br, p, z)
+            messages.append(str(err.value))
+        assert messages == ["X = inf overflows e^X in double precision"] * 2, fn

@@ -258,6 +258,35 @@ def test_fit_degenerate_span():
         lsq_fit_two_waves(samples, 1.0)
 
 
+def test_fit_non_finite_samples():
+    # a non-finite z or G raises ConditioningError: z = inf used to raise
+    # LinAlgError, and G = inf or nan to return NaN coefficients
+    zs = np.linspace(-8.0, -6.0, 16)
+    good = list(zip(zs.tolist(), np.exp(2j * zs).tolist()))
+    for i, sample in ((0, (math.inf, 1.0)), (5, (math.nan, 1.0)),
+                      (3, (-7.0, complex(math.inf, 0.0))),
+                      (9, (-7.0, complex(0.0, math.nan)))):
+        samples = list(good)
+        samples[i] = sample
+        with pytest.raises(ConditioningError):
+            lsq_fit_two_waves(samples, 2.0)
+
+
+def test_fit_condition_from_singular_values():
+    # cond is the ratio of the extreme singular values of the design,
+    # as np.linalg.cond gives it: a well-spread window passes, and the
+    # same window squeezed below a quarter period's width raises
+    zs = np.linspace(-8.0, -6.0, 16)
+    cp, cm, resid = lsq_fit_two_waves(
+        list(zip(zs, np.exp(2j * zs) + 0.5 * np.exp(-2j * zs))), 2.0)
+    assert abs(cp - 1.0) < 1e-14 and abs(cm - 0.5) < 1e-14 and resid < 1e-14
+    tight = -7.0 + 1e-10 * (zs + 7.0)
+    design = np.column_stack([np.exp(2j * tight), np.exp(-2j * tight)])
+    assert np.linalg.cond(design) > 1e8
+    with pytest.raises(ConditioningError, match="ill-conditioned"):
+        lsq_fit_two_waves(list(zip(tight, np.exp(2j * tight))), 2.0)
+
+
 @given(st.floats(0.0, 2.0 * math.pi))
 @settings(max_examples=25, deadline=None)
 def test_fit_residual_phase_invariant(phi):

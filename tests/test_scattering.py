@@ -364,3 +364,24 @@ def test_tiny_kappa_raises_range_error():
     p = ModeParams(1.0, 1e-154, 0.0)
     assert turning_point(p).z0 == math.log(1e154)
     assert scattering.envelope_crossing(p) == 354.9062404593509
+
+
+def test_huge_kappa_raises_range_error():
+    # kappa^2 = U0 past the double range: one RangeError, where kappa = 1e155
+    # raised DomainError (identity defect inf) and 1e200 returned U0 = inf
+    # (inf * e^{2 z0} = inf * 0 = NaN skipped the identity check)
+    for k in (1e155, 1e200):
+        p = ModeParams(1.0, k, 0.0)
+        with pytest.raises(RangeError):
+            turning_point(p)
+        with pytest.raises(RangeError):
+            scattering.envelope_crossing(p)
+    # the largest decade that fits keeps its value
+    p = ModeParams(1.0, 1e154, 0.0)
+    assert turning_point(p).z0 == -354.59810432108304
+    assert scattering.envelope_crossing(p) == -354.2899681828152
+
+
+def test_barrier_info_rejects_nan_defect():
+    with pytest.raises(DomainError):
+        scattering.BarrierInfo(z0=-500.0, x0_magnitude=1.0, U0=math.inf)
