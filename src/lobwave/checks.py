@@ -136,15 +136,14 @@ def gamma_identity():
 
 
 def wronskian():
-    """|W[I, K](X) + 1/X| * X on a 20 x 20 and a 5 x 5 (omega, X) grid."""
-    points = [(w, X) for w in np.linspace(0.5, 10.0, 20)
-              for X in np.linspace(0.1, 30.0, 20)]
-    points += [(w, X) for w in np.linspace(0.5, 10.0, 5)
-               for X in np.linspace(0.5, 30.0, 5)]
+    """|W[I, K](X) + 1/X| * X on a 20 x 20 and a 5 x 5 (omega, X) grid,
+    one `wronskian_IK` call per omega."""
+    grids = [(w, np.linspace(0.1, 30.0, 20)) for w in np.linspace(0.5, 10.0, 20)]
+    grids += [(w, np.linspace(0.5, 30.0, 5)) for w in np.linspace(0.5, 10.0, 5)]
     worst = 0.0
-    for w, X in points:
-        val = wronskian_IK(float(w), float(X))
-        worst = max(worst, abs(val + 1.0 / X) * X)
+    for w, X in grids:
+        val = wronskian_IK(float(w), X)
+        worst = max(worst, float(np.max(np.abs(val + 1.0 / X) * X)))
     return worst
 
 

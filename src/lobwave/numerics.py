@@ -8,12 +8,13 @@ code paths, and that independence is what makes the cross-validation
 meaningful.  The quadrature is not: `specfun` imports `quad_adaptive` as
 its K_{i omega} route for omega <= 3 and 0.1 < X <= 1.05 omega.
 
-`quad_adaptive` is on that route's hot path, so its bookkeeping is lean:
-`_gk15` is unrolled, and the panels live in parallel lists (ends, value,
-error, squared error over tol) updated in place, so each subdivision
-costs one `sum` and one `index(max(...))` over plain lists.  The sums
-add the panels in a fixed order, and tests pin the (value, error) bits
-of several real and complex integrands.
+`quad_adaptive` is on that route's hot path, and it runs in rounds over
+many integrals at once, one per X of a kernel block: a round splits the
+panels that carry most of the error of every integral not yet within its
+tol, and all the new panels go to the integrand in one array call.  Each
+integral adds up its panels in an order that the other integrals do not
+affect, so it gives the same bits alone or in a batch, and tests pin the
+(value, error) bits of several real and complex integrands.
 """
 
 from __future__ import annotations
@@ -278,118 +279,129 @@ def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
     return result
 
 
-# Gauss 7 / Kronrod 15 nodes and Kronrod weights on [-1, 1], one name per
-# node pair (x_i, -x_i), outermost first; node 7 is the centre.
-_X0, _X1, _X2, _X3, _X4, _X5, _X6 = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898,
-)
-_WK0, _WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-)
-# Gauss weights of the pairs 1, 3, 5 and of the centre
-_WG1, _WG3, _WG5, _WG7 = (
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-)
+# Gauss 7 / Kronrod 15 rule on [-1, 1] (QUADPACK's qk15): the 15 nodes in
+# increasing order, their Kronrod weights, and the Gauss weights of the 7
+# Gauss nodes (0 at the Kronrod-only ones)
+_GK_X = np.array((0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+                  0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+                  0.207784955007898468))
+_GK_X = np.concatenate((-_GK_X, [0.0], _GK_X[::-1]))
+_GK_WK = np.array((0.0229353220105292250, 0.0630920926299785533, 0.104790010322250184,
+                   0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+                   0.204432940075298892))
+_GK_WK = np.concatenate((_GK_WK, [0.209482141084727828], _GK_WK[::-1]))
+_GK_WG = np.array((0.0, 0.129484966168869693, 0.0, 0.279705391489276668, 0.0,
+                   0.381830050505118945, 0.0))
+_GK_WG = np.concatenate((_GK_WG, [0.417959183673469388], _GK_WG[::-1]))
+
+# panels each integral starts from, and their centres in half-widths from a
+_PANELS0 = 8
+_ODD = np.arange(1.0, 2 * _PANELS0, 2.0)
+# rounding error of a panel's value, per unit of its integral of |f|
+_ROUNDING = 2.2e-16
 
 
-def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    x = half * _X0
-    p0, m0 = f(mid + x), f(mid - x)
-    x = half * _X1
-    p1, m1 = f(mid + x), f(mid - x)
-    x = half * _X2
-    p2, m2 = f(mid + x), f(mid - x)
-    x = half * _X3
-    p3, m3 = f(mid + x), f(mid - x)
-    x = half * _X4
-    p4, m4 = f(mid + x), f(mid - x)
-    x = half * _X5
-    p5, m5 = f(mid + x), f(mid - x)
-    x = half * _X6
-    p6, m6 = f(mid + x), f(mid - x)
-    ik = (_WK7 * fc + _WK0 * (p0 + m0) + _WK1 * (p1 + m1) + _WK2 * (p2 + m2)
-          + _WK3 * (p3 + m3) + _WK4 * (p4 + m4) + _WK5 * (p5 + m5)
-          + _WK6 * (p6 + m6)) * half
-    ig = (_WG7 * fc + _WG1 * (p1 + m1) + _WG3 * (p3 + m3)
-          + _WG5 * (p5 + m5)) * half
-    diff = abs(ik - ig)
-    # scale the error by the variation of f about its mean so that
-    # small-magnitude integrals are not reported as converged early;
-    # `floor` is the double-precision floor: cancellation across nodes
-    # cannot be beaten
-    mean = ik / (b - a)
-    resasc = (_WK7 * abs(fc - mean) + _WK0 * abs(p0 - mean)
-              + _WK0 * abs(m0 - mean) + _WK1 * abs(p1 - mean)
-              + _WK1 * abs(m1 - mean) + _WK2 * abs(p2 - mean)
-              + _WK2 * abs(m2 - mean) + _WK3 * abs(p3 - mean)
-              + _WK3 * abs(m3 - mean) + _WK4 * abs(p4 - mean)
-              + _WK4 * abs(m4 - mean) + _WK5 * abs(p5 - mean)
-              + _WK5 * abs(m5 - mean) + _WK6 * abs(p6 - mean)
-              + _WK6 * abs(m6 - mean)) * abs(half)
-    floor = (_WK7 * abs(fc) + _WK0 * abs(p0) + _WK0 * abs(m0)
-             + _WK1 * abs(p1) + _WK1 * abs(m1) + _WK2 * abs(p2)
-             + _WK2 * abs(m2) + _WK3 * abs(p3) + _WK3 * abs(m3)
-             + _WK4 * abs(p4) + _WK4 * abs(m4) + _WK5 * abs(p5)
-             + _WK5 * abs(m5) + _WK6 * abs(p6) + _WK6 * abs(m6))
-    if resasc > 0.0 and diff > 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    return ik, max(err, 1e-16 * abs(half) * floor)
+def _gk15(fx, half):
+    """Value, error estimate and integral of |f| of each panel, from f at
+    its 15 nodes (last axis of fx) and its half-width."""
+    ik = np.einsum("...k,k->...", fx, _GK_WK)
+    diff = np.abs(ik - np.einsum("...k,k->...", fx, _GK_WG))
+    # QUADPACK's error: scaled by the variation of f about its mean, so
+    # that small-magnitude integrals are not reported as converged early
+    resasc = np.einsum("...k,k->...", np.abs(fx - 0.5 * ik[..., None]), _GK_WK)
+    varies = resasc > 0.0
+    err = np.where(varies, resasc * np.minimum(
+        1.0, 200.0 * diff / np.where(varies, resasc, 1.0)) ** 1.5, diff)
+    absf = np.einsum("...k,k->...", np.abs(fx), _GK_WK)
+    # the double-precision floor: cancellation across nodes cannot be beaten
+    return half * ik, half * np.maximum(err, 1e-16 * absf), half * absf
+
+
+def _reject(a, b, tol):
+    """The DomainError for the first integral whose (a, b, tol) is bad."""
+    for ok, what in ((math.isfinite(a) & np.isfinite(b), "interval ({}, {}) must be finite"),
+                     (b > a, "empty interval ({}, {})")):
+        if not ok.all():
+            raise DomainError("quad_adaptive: " + what.format(a, b[np.argmin(ok)]))
+    raise DomainError(f"quad_adaptive: tol = {tol[np.argmin(tol > 0.0)]} must be positive")
 
 
 def quad_adaptive(f, interval, tol=1e-12, limit=2000):
-    """Globally adaptive Gauss-Kronrod integration of f over `interval`.
+    """Globally adaptive Gauss-Kronrod integration of f over `interval`,
+    one integral or many at once.
 
-    Both endpoints must be finite: an infinite one raises DomainError.
-    Truncate a decaying integrand where its tail is negligible instead.
+    interval = (a, b) with a float a; b and tol may be 1-D arrays, one
+    integral per entry, and then value and estimate are arrays.  f takes
+    one 2-D array of nodes, whose row i holds nodes of integral i only,
+    and returns f there.  Both endpoints must be finite: an infinite one
+    raises DomainError.  Truncate a decaying integrand where its tail is
+    negligible instead.
 
-    Returns (value, error_estimate); raises AccuracyError when subdivision
-    cannot reach `tol`.
+    Each integral starts from 8 equal panels.  In each round, an integral
+    whose error exceeds its tol splits every panel whose squared error is
+    at least an even share of its total, and all new panels of the round
+    go to f in one call.  Returns (value, error_estimate); raises
+    AccuracyError when an integral would need more than `limit` panels.
     """
-    a, b = interval
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"quad_adaptive: interval ({a}, {b}) must be finite")
-    if not b > a:
-        raise DomainError(f"quad_adaptive: empty interval ({a}, {b})")
-    if not tol > 0.0:
-        raise DomainError(f"quad_adaptive: tol = {tol} must be positive")
+    scalar = np.ndim(interval[1]) == 0 and np.ndim(tol) == 0
+    a = float(interval[0])
+    b = np.array(interval[1], dtype=float, ndmin=1)
+    tol = np.asarray(tol, dtype=float)
+    if not (math.isfinite(a) and ((b > a) & (b < math.inf) & (tol > 0.0)).all()):
+        _reject(a, b, np.broadcast_to(tol, b.shape))
 
-    # one entry per panel in each list: its ends, value, error and squared
-    # error in units of tol.  Squared panel errors below ~1e-154 would
-    # underflow to 0 and pass any tol; r * r overflows to inf where ** 2
-    # raises.  A split panel's left half takes its place and the right
-    # half goes last, so every sum runs over the panels in a fixed order
-    value, err = _gk15(f, a, b)
-    ends, values, errs, sq = [(a, b)], [value], [err], [(r := err / tol) * r]
+    # Row i holds integral i's panels (centre, half-width, value, error,
+    # integral of |f|), one block of columns per round.  A split panel's
+    # halves go to the next block, left halves first, and its value,
+    # error and |f| integral are zeroed, as are the zero-width panels that
+    # pad a row's block.  So each row's sums, taken in order along the
+    # row, add the same numbers in the same order whatever the other rows
+    # hold.  Squared errors are in units of tol: squared panel errors
+    # below ~1e-154 would underflow to 0 and pass any tol.  Capped at
+    # 1e150, their squares sum without overflow over any panel count.
+    n = b.size
+    row_tol = tol[..., None]
+    half = ((b - a) / (2 * _PANELS0))[:, None]
+    centre = a + half * _ODD
+    half = np.repeat(half, _PANELS0, axis=1)
+    count = np.full(n, _PANELS0)
+    panels = None
     while True:
-        ratio = math.sqrt(sum(sq))
-        if ratio <= 1.0:
-            return sum(values), ratio * tol
-        if len(errs) >= limit:
-            raise AccuracyError(
-                f"quad_adaptive: {limit} segments, error "
-                f"{math.hypot(*errs):.3e} > {tol:.3e}"
-            )
-        worst = errs.index(max(errs))
-        lo, hi = ends[worst]
-        mid = 0.5 * (lo + hi)
-        value, err = _gk15(f, lo, mid)
-        ends[worst], values[worst], errs[worst] = (lo, mid), value, err
-        sq[worst] = (r := err / tol) * r
-        value, err = _gk15(f, mid, hi)
-        ends.append((mid, hi))
-        values.append(value)
-        errs.append(err)
-        sq.append((r := err / tol) * r)
+        t = centre[..., None] + half[..., None] * _GK_X
+        new = (centre, half, *_gk15(f(t.reshape(n, -1)).reshape(t.shape), half))
+        panels = new if panels is None else [
+            np.concatenate(pair, axis=1) for pair in zip(panels, new)]
+        centres, halves, values, errs, absfs = panels
+        sq = np.square(np.minimum(errs / row_tol, 1e150))
+        total = np.add.accumulate(sq, 1)[:, -1]
+        active = ~(total <= 1.0)
+        if not active.any():
+            break
+        # NaN errors split too
+        split = ~(sq * count[:, None] < 1.0) & active[:, None]
+        nsplit = np.add.reduce(split, 1)
+        count = count + nsplit
+        # past the limit, or over tol with no panel to split (by rounding
+        # in the total)
+        stuck = active & ((count > limit) | (nsplit == 0))
+        if stuck.any():
+            i = np.argmax(stuck)
+            tol = np.broadcast_to(tol, b.shape)[i]
+            raise AccuracyError(f"quad_adaptive: more than {limit} segments needed, "
+                                f"error {math.sqrt(total[i]) * tol:.3e} > {tol:.3e}")
+        # the split panels of each row first, in column order
+        width = nsplit.max()
+        pick = np.arange(n)[:, None], np.argsort(~split, axis=1, kind="stable")[:, :width]
+        half = np.where(np.arange(width) < nsplit[:, None], 0.5 * halves[pick], 0.0)
+        centre = np.concatenate((centres[pick] - half, centres[pick] + half), axis=1)
+        half = np.concatenate((half, half), axis=1)
+        values[split] = errs[split] = absfs[split] = 0.0
+    value = np.add.accumulate(values, 1)[:, -1]
+    # rounding error adds linearly over the panels, not in quadrature
+    err = np.sqrt(total) * tol + _ROUNDING * np.add.accumulate(absfs, 1)[:, -1]
+    if scalar:
+        return value[0].item(), float(err[0])
+    return value, err
 
 
 def lsq_fit_two_waves(samples, omega):

@@ -23,32 +23,33 @@ Evaluation strategy:
   Gauss-Kronrod on the same integral on the real axis; the reflection
   route is K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)).  For w > 3 the
   real-axis integral would cancel down to e^{-pi w/2}; at X <= 0.1 the
-  quadrature's estimate falls short of its error by up to 256x, and the
-  reflection route is more accurate there.  Against mpmath at orders
+  reflection route is the more accurate one.  Against mpmath at orders
   i w and i w +- 1 the contour is within 1.4e-13 (relative) everywhere
   in its regime, and its error is at most 1.2 times its estimate; the
-  quadrature is within 5e-14; the worst cells of the whole map, up to
-  2.7e-11, are on the reflection route at large w.
+  quadrature is within 7.4e-14, worst next to the zeros of K_{i w}, and
+  its error is at most 0.75 times its estimate; the worst cells of the
+  whole map, up to 2.7e-11, are on the reflection route at large w.
 
-On a grid (`basis_G1` and `recurrence_shift` take a 1-D array of X) the
-same switches split X once, so each point takes the route it takes
-alone, and each route runs on its whole share of the grid, at most 32 X
-at a time: the I series and the asymptotic expansion as one (X x term)
-array (`_i_series_grid`, `_i_asymptotic`), the saddle-line rule as one
-(X x node) array (`_k_contour`), the reflection route from those I
-arrays, and the quadrature point by point.  Blocks of 32 keep the
-temporaries to about 1 MB and let each block size its term count from
-its own largest X.
+On a grid (`basis_G1`, `recurrence_shift` and `wronskian_IK` take a 1-D
+array of X) the same switches split X once, so each point takes the
+route it takes alone, and each route runs on its whole share of the
+grid, at most 32 X at a time: the I series and the asymptotic expansion
+as one (X x term) array (`_i_series_grid`, `_i_asymptotic`), the
+saddle-line rule as one (X x node) array (`_k_contour`), the reflection
+route from those I arrays, and the quadrature as one `quad_adaptive`
+call whose rounds each evaluate the new panels of every X in one
+(X x node) array.  Blocks of 32 keep the temporaries to about 1 MB and
+let each block size its term count from its own largest X.
 
-A float X on the saddle-line and asymptotic routes runs the same block
-code on a one-element array, so each of those routes has one
-implementation.  The quadrature and the reflection route take a float
-as it is, and the ascending series keeps a scalar twin, `_i_series`:
-a one-X series block costs 76-80 us against 15-24 us for the scalar
-loop at X <= 5 (2-vCPU Xeon VM), and with the twin deleted the
-`residuals` benchmark workload, which calls the kernels one point at a
-time, read its median op time 37% higher (19.2 -> 26.0 and 20.5 ->
-28.2 ms in two pairs of 8-second runs).
+A float X on the saddle-line, asymptotic and quadrature routes runs the
+same block code on a one-element array, so each of those routes has one
+implementation.  The reflection route takes a float as it is, and the
+ascending series keeps a scalar twin, `_i_series`: a one-X series block
+costs 76-80 us against 15-24 us for the scalar loop at X <= 5 (2-vCPU
+Xeon VM), and with the twin deleted the `residuals` benchmark workload,
+which calls the kernels one point at a time, read its median op time
+37% higher (19.2 -> 26.0 and 20.5 -> 28.2 ms in two pairs of 8-second
+runs).
 
 All three K routes are kept callable so tests can compare them.
 """
@@ -196,13 +197,6 @@ def _on_grid(nu: complex, X: np.ndarray, routes):
     return value, err
 
 
-def _pointwise(route):
-    """A scalar route as a block route: one call per X."""
-    def block(nu, X):
-        return zip(*(route(nu, x) for x in X.tolist()))
-    return block
-
-
 def _at_float(block, nu: complex, X: float):
     """A block route at one float X: a one-element block."""
     value, err = block(nu, np.array([X]))
@@ -316,38 +310,41 @@ def _bessel_I(nu: complex, X):
 # ---------------------------------------------------------------------------
 # K_nu(X), three routes
 
-# the quadrature's lower end in X: below it the quadrature's estimate falls
-# short of its error by 16x to 256x, and the reflection route is both more
-# accurate and about 10x cheaper per call
+# the quadrature's lower end in X: below it the reflection route is more
+# accurate (on 450 seeded cells at X from 1e-3 to 0.1 and orders i w,
+# i w +- 1, 6.9e-14 relative against the quadrature's 3.7e-13)
 _K_QUAD_X_MIN = 0.1
 
 
-def _k_quadrature(nu: complex, X: float):
-    """Integral representation int_0^tmax e^{-X cosh t} cosh(nu t) dt."""
-    _check_X(X)
-    # choose tmax so the truncated tail is below 1e-18 of the peak e^{-X}
+def _k_quadrature(nu: complex, X: np.ndarray):
+    """Integral representation int_0^tmax e^{-X cosh t} cosh(nu t) dt on a
+    block of X: one quad_adaptive call, one integral per X."""
+    r, w = nu.real, nu.imag
+    # choose tmax so the truncated tail is below 1e-18 of the peak e^{-X}:
+    # X (cosh tmax - 1) = 60 + (|r| + 1) tmax
+    u, v = 1.0 + 60.0 / X, (abs(r) + 1.0) / X
     tmax = 5.0
     for _ in range(4):
-        tmax = math.acosh(1.0 + (60.0 + abs(nu.real) * tmax + tmax) / X)
-    scale = math.exp(-X)
-
-    if nu.real == 0.0:
-        # cmath.cosh(i w t) is exactly cos(w t) + 0j, so the real integrand
-        # gives the same bits as the complex one below
-        w = nu.imag
-
+        tmax = np.arccosh(u + v * tmax)
+    tol = 1e-13 * np.exp(-X)
+    X = X[:, None]
+    if r == 0.0:
+        # cosh(i w t) = cos(w t): a real integrand
         def integrand(t):
-            return math.exp(-X * math.cosh(t)) * math.cos(w * t)
+            return np.exp(-X * np.cosh(t)) * np.cos(w * t)
     else:
+        # cosh(nu t) = cosh(r t) cos(w t) + i sinh(r t) sin(w t) in real
+        # ufuncs: numpy's complex cosh takes about 1.7x as long per node
         def integrand(t):
-            return cmath.exp(-X * math.cosh(t)) * cmath.cosh(nu * t)
+            e = np.exp(-X * np.cosh(t))
+            return (e * np.cosh(r * t) * np.cos(w * t)
+                    + 1j * (e * np.sinh(r * t) * np.sin(w * t)))
 
     try:
-        value, err = quad_adaptive(integrand, (0.0, tmax), tol=1e-13 * scale,
-                                   limit=4000)
+        return quad_adaptive(integrand, (0.0, tmax), tol=tol, limit=4000)
     except AccuracyError as exc:
-        raise AccuracyError(f"K quadrature did not converge (nu={nu}, X={X})") from exc
-    return value, err + 1e-16 * scale * tmax
+        raise AccuracyError(f"K quadrature did not converge (nu={nu}, X from "
+                            f"{X.min()} to {X.max()})") from exc
 
 
 def _k_reflection(nu: complex, X):
@@ -419,12 +416,12 @@ def _bessel_K(nu: complex, X):
         contour = X > 1.05 * w
         quadrature = ~contour & (X > _K_QUAD_X_MIN) & (w <= 3.0)
         return _on_grid(nu, X, ((contour, _k_contour),
-                                (quadrature, _pointwise(_k_quadrature)),
+                                (quadrature, _k_quadrature),
                                 (~contour & ~quadrature, _k_reflection)))
     if X > 1.05 * w:
         return _at_float(_k_contour, nu, X)
     if w <= 3.0 and X > _K_QUAD_X_MIN:
-        return _k_quadrature(nu, X)
+        return _at_float(_k_quadrature, nu, X)
     return _k_reflection(nu, X)
 
 
@@ -439,21 +436,27 @@ def bessel_K_imag(omega: float, X: float) -> SpecialValue:
     return SpecialValue(complex(value.real, 0.0), err)
 
 
-def wronskian_IK(omega: float, X: float) -> complex:
+def wronskian_IK(omega: float, X):
     """I_nu K_nu' - I_nu' K_nu at nu = i omega; identically -1/X.
 
     Derivatives come from the order-shift averages
     I' = (I_{nu-1} + I_{nu+1})/2 and K' = -(K_{nu-1} + K_{nu+1})/2, so
-    this exercises the kernels at three adjacent orders at once.
+    this exercises the kernels at three adjacent orders at once.  X is a
+    float, or a 1-D array on which the value is an array, and an X out
+    of range raises what a point-by-point loop would raise.
     """
     _check_omega(omega)
-    _check_X(X)
     nu = 1j * omega
-    i0, _ = _bessel_I(nu, X)
-    k0, _ = _bessel_K(nu, X)
-    di = 0.5 * (_bessel_I(nu - 1.0, X)[0] + _bessel_I(nu + 1.0, X)[0])
-    dk = -0.5 * (_bessel_K(nu - 1.0, X)[0] + _bessel_K(nu + 1.0, X)[0])
-    return i0 * dk - di * k0
+
+    def wronskian(X):
+        i0, _ = _bessel_I(nu, X)
+        k0, _ = _bessel_K(nu, X)
+        di = 0.5 * (_bessel_I(nu - 1.0, X)[0] + _bessel_I(nu + 1.0, X)[0])
+        dk = -0.5 * (_bessel_K(nu - 1.0, X)[0] + _bessel_K(nu + 1.0, X)[0])
+        # the value alone: no estimate is carried
+        return i0 * dk - di * k0, 0.0 * X
+
+    return _special_value(wronskian, X).value
 
 
 def bessel_I_imag(omega: float, X: float) -> SpecialValue:

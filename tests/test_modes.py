@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobwave import checks, modes
+from lobwave import checks, modes, specfun
 from lobwave.errors import DegenerateModeError, DomainError, RangeError
 from lobwave.modes import (
     MAXWELL_MATRICES,
@@ -311,6 +311,25 @@ def test_heun_form_residual_one_eval_G_call(monkeypatch):
     assert len(calls) == 1
     assert calls[0][2].shape == (5 * zs.size,)
     assert res < 1e-5
+
+
+def test_one_quadrature_call_per_k_route_call(monkeypatch):
+    # every X = kappa e^z below is in the quadrature band 0.1 < X <= 1.05 w.
+    # A float eval_G takes K at i w twice and at i w + 1 once: 3 calls.
+    # heun_form_residual's 10 stencil heights fit one block of the same 3
+    calls = []
+    quad = specfun.quad_adaptive
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "quad_adaptive", counted)
+    eval_G(BasisBranch.HANKEL1, ModeParams(2.0, 1.0, 0.0), 0.0)
+    assert len(calls) == 3
+    calls.clear()
+    heun_form_residual(BasisBranch.HANKEL1, P_DEFAULT, [-1.0, -0.5])
+    assert len(calls) == 3
 
 
 def test_ode_deviation_one_grid_call(monkeypatch):

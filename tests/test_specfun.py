@@ -70,7 +70,7 @@ def test_bessel_k_golden():
 def test_bessel_k_routes_agree_on_overlap():
     for w in np.linspace(0.5, 5.0, 5):
         for X in np.linspace(0.5, 20.0, 8):
-            vq, _ = _k_quadrature(1j * float(w), float(X))
+            vq = _k_quadrature(1j * float(w), np.array([X]))[0][0]
             vr, _ = _k_reflection(1j * float(w), float(X))
             ref = bessel_K_imag(float(w), float(X)).value.real
             if abs(ref) == 0.0:
@@ -366,22 +366,72 @@ def test_gamma_modulus_positive_decreasing(w):
     assert gamma_modulus_sq(w + 0.5) < v
 
 
-def test_k_quadrature_real_integrand_is_exact():
-    # cmath.cosh(i w t) is exactly cos(w t) + 0j, so the real integrand
-    # that _k_quadrature uses for imaginary orders must match the complex
-    # one bit for bit, value and estimate
+def test_k_quadrature_real_integrand_matches_the_complex_one():
+    # at Re nu = 0 the route integrates the real e^{-X cosh t} cos(w t);
+    # numpy's complex cosh(i w t) at the same tmax and tol gives the same
+    # K within rounding
+    X = np.array([0.11, 0.5, 1.0, 25.0, 370.0, 690.0])
+    tmax = 5.0
+    for _ in range(4):
+        tmax = np.arccosh(1.0 + (60.0 + tmax) / X)
     for w in (0.05, 0.5, 3.0, 20.0, 50.0):
-        nu = 1j * w
-        for X in (1e-3, 1.0, 25.0, 370.0, 690.0):
-            tmax = 5.0
-            for _ in range(4):
-                tmax = math.acosh(1.0 + (60.0 + tmax) / X)
-            scale = math.exp(-X)
-            value, err = quad_adaptive(
-                lambda t: cmath.exp(-X * math.cosh(t)) * cmath.cosh(nu * t),
-                (0.0, tmax), tol=1e-13 * scale, limit=4000)
-            assert _k_quadrature(nu, X) == (value, err + 1e-16 * scale * tmax), \
-                (w, X)
+        value, err = _k_quadrature(1j * w, X)
+        ref, _ = quad_adaptive(
+            lambda t: np.exp(-X[:, None] * np.cosh(t)) * np.cosh(1j * w * t),
+            (0.0, tmax), tol=1e-13 * np.exp(-X), limit=4000)
+        assert np.all(np.abs(value - ref) <= 4.4e-16 * np.exp(-X) * tmax), w
+
+
+def test_k_quadrature_block_rows_are_float_calls():
+    # a float X, a one-element block and a row of a 32-X block give the
+    # same bits, value and estimate
+    rng = np.random.default_rng(16)
+    for w in (0.5, 1.3, 2.0, 3.0):
+        X = np.sort(np.exp(rng.uniform(math.log(0.1), math.log(1.05 * w), 32)))
+        for nu in (1j * w, -1j * w, complex(1.0, w), complex(-1.0, w)):
+            value, err = _bessel_K(nu, X)
+            block = _k_quadrature(nu, X)
+            for i, x in enumerate(X.tolist()):
+                one = _k_quadrature(nu, np.array([x]))
+                row = (value[i], err[i])
+                assert _bessel_K(nu, x) == row == (one[0][0], one[1][0]) \
+                    == (block[0][i], block[1][i]), (nu, x)
+
+
+def test_k_quadrature_estimate_bounds_error():
+    # |err| <= 10 estimate on every quadrature cell of _k_cells and on 80
+    # seeded cells of the route's regime, orders i w and i w +- 1.  Panel
+    # rounding floors add in quadrature, so the estimate carries a linear
+    # rounding term as well
+    rng = np.random.default_rng(16)
+    ws = rng.uniform(0.1 / 1.05, 3.0, 80)
+    xs = np.exp(rng.uniform(math.log(0.1), np.log(1.05 * ws)))
+    cells = [(w, X) for w, X in _k_cells() if _expected_k_route(w, X) == "_k_quadrature"]
+    cells += [(w, X) for w, X in zip(ws.tolist(), xs.tolist()) if X > 0.1]
+    worst = (0.0, None)
+    with mpmath.workdps(30):
+        for w, X in cells:
+            for shift in _K_SHIFTS:
+                value, est = _k_quadrature(complex(shift, w), np.array([X]))
+                ref = complex(mpmath.besselk(mpmath.mpc(shift, w), X))
+                worst = max(worst, (abs(value[0] - ref) / est[0], (w, X, shift)))
+    assert worst[0] <= 10.0, f"|err| / estimate {worst}"
+
+
+def test_wronskian_grid():
+    # one call per omega, each X within 1e-9 / X of -1/X; an X out of
+    # range raises what a loop would raise, after any X before it
+    X = np.linspace(0.1, 30.0, 20)
+    for w in (0.5, 2.0, 10.0):
+        val = wronskian_IK(w, X)
+        assert val.shape == X.shape
+        assert np.all(np.abs(val + 1.0 / X) * X <= 1e-9)
+        assert wronskian_IK(w, 1.5) == pytest.approx(wronskian_IK(w, np.array([1.5]))[0],
+                                                     rel=1e-13)
+    with pytest.raises(RangeError, match="X = 701.0 "):
+        wronskian_IK(2.0, np.array([1.0, 701.0, 0.0]))
+    with pytest.raises(DomainError, match="X = 0.0 "):
+        wronskian_IK(2.0, np.array([1.0, 0.0, 701.0]))
 
 
 # basis_G1 and recurrence_shift against mpmath on all six branches, on
