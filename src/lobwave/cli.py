@@ -82,11 +82,10 @@ def _emit_json(payload: dict, args):
 
 
 def _emit_csv(header, rows, args):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
+    """CSV of float rows, each value in `_fmt`'s format."""
+    line = ",".join(["%.16e"] * len(header))
+    _emit("\n".join([",".join(header)] + [line % row for row in rows]) + "\n",
+          args.out)
 
 
 def _mode_params(args) -> ModeParams:

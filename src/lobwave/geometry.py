@@ -119,13 +119,11 @@ def to_embedding(p: QuasiCartesian) -> EmbeddingPoint:
     ez = _checked_exp(p.z)
     emz = _checked_exp(-p.z)
     r2 = p.x * p.x + p.y * p.y
-    try:
-        u1 = p.x * emz
-        u2 = p.y * emz
-        u3 = 0.5 * ((ez - emz) + r2 * emz)
-        u0 = 0.5 * ((ez + emz) + r2 * emz)
-    except OverflowError as exc:
-        raise RangeError(f"embedding overflow at {p}") from exc
+    u1 = p.x * emz
+    u2 = p.y * emz
+    u3 = 0.5 * ((ez - emz) + r2 * emz)
+    u0 = 0.5 * ((ez + emz) + r2 * emz)
+    # float products overflow to inf without raising
     if not (math.isfinite(u0) and math.isfinite(u3)):
         raise RangeError(f"embedding overflow at {p}")
     return EmbeddingPoint(u0, u1, u2, u3)

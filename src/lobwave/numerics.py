@@ -404,18 +404,21 @@ def quad_adaptive(f, interval, tol=1e-12, limit=2000):
     return value, err
 
 
-def lsq_fit_two_waves(samples, omega):
+def lsq_fit_two_waves(zs, gs, omega):
     """Fit G(z) ~ c_plus e^{i omega z} + c_minus e^{-i omega z}.
 
-    `samples` is a sequence of finite (z, G) pairs with complex G.  Solved
-    by an SVD; the design matrix condition number, from its singular
-    values, must stay below 1e8.  Returns (c_plus, c_minus, max_abs_residual).
+    `zs` and `gs` are 1-D arrays of finite heights z and complex samples
+    G(z), one per z.  Solved by an SVD; the design matrix condition
+    number, from its singular values, must stay below 1e8.  Returns
+    (c_plus, c_minus, max_abs_residual).
     """
-    samples = list(samples)
-    if len(samples) < 4:
+    zs = np.asarray(zs, dtype=float)
+    gs = np.asarray(gs, dtype=complex)
+    if zs.shape != gs.shape or zs.ndim != 1:
+        raise DomainError(f"two-wave fit needs 1-D z and G of one length, "
+                          f"not shapes {zs.shape} and {gs.shape}")
+    if zs.size < 4:
         raise ConditioningError("two-wave fit needs at least 4 samples")
-    zs = np.array([s[0] for s in samples], dtype=float)
-    gs = np.array([complex(s[1]) for s in samples], dtype=complex)
     if not (np.isfinite(zs).all() and np.isfinite(gs).all()):
         raise ConditioningError("two-wave fit needs finite samples z and G")
     design = np.column_stack([np.exp(1j * omega * zs), np.exp(-1j * omega * zs)])

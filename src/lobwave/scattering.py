@@ -187,24 +187,24 @@ def amplitudes_analytic(branch: BasisBranch, p: ModeParams) -> AsymptoticAmplitu
     raise DomainError(f"unknown branch {branch!r}")
 
 
-def amplitudes_fit(samples, omega: float) -> AsymptoticAmplitudes:
+def amplitudes_fit(zs, gs, omega: float) -> AsymptoticAmplitudes:
     """Plane-wave decomposition of sampled G values far left of the barrier.
 
-    `samples` is a sequence of (z, G) pairs taken where U(z)/omega^2 is
-    negligible; needs at least 8 samples spanning two periods of the
-    slower phase for a well-conditioned fit.
+    `zs` and `gs` are 1-D arrays of heights z and values G(z) taken where
+    U(z)/omega^2 is negligible; needs at least 8 samples spanning two
+    periods of the slower phase for a well-conditioned fit.
     """
-    samples = list(samples)
-    if len(samples) < 8:
+    zs = np.asarray(zs, dtype=float)
+    gs = np.asarray(gs, dtype=complex)
+    if zs.size < 8:
         raise ConditioningError("amplitude fit needs at least 8 samples")
-    zs = [s[0] for s in samples]
-    span = max(zs) - min(zs)
+    span = zs.max() - zs.min()
     if omega * span < 0.5 * math.pi:
         raise ConditioningError(
             f"sample span {span} covers under a quarter period at omega {omega}"
         )
-    cp, cm, resid = lsq_fit_two_waves(samples, omega)
-    scale = max(abs(complex(s[1])) for s in samples)
+    cp, cm, resid = lsq_fit_two_waves(zs, gs, omega)
+    scale = np.abs(gs).max()
     if resid > 1e-6 * scale:
         raise ConditioningError(
             f"fit residual {resid:.3e} exceeds 1e-6 of sample scale {scale:.3e}; "
@@ -228,7 +228,7 @@ def _fit_window(p: ModeParams):
 def _kernel_samples(branch: BasisBranch, p: ModeParams):
     zs = np.linspace(*_fit_window(p), _FIT_SAMPLES)
     X = p.kappa * _exp_z(zs)
-    return list(zip(zs.tolist(), basis_G1(branch, p.omega, X).value.tolist()))
+    return zs, basis_G1(branch, p.omega, X).value
 
 
 def _printed_neumann_R(branch: BasisBranch, omega: float) -> float:
@@ -257,7 +257,7 @@ def reflection(branch: BasisBranch, p: ModeParams, method: str = "analytic"
                                     branch, "analytic")
         amps = amplitudes_analytic(branch, p)
     elif method == "fitted":
-        amps = amplitudes_fit(_kernel_samples(branch, p), p.omega)
+        amps = amplitudes_fit(*_kernel_samples(branch, p), p.omega)
     else:
         raise DomainError(f"unknown method {method!r}")
     if amps.Mplus == 0:
@@ -385,8 +385,7 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
     zs = np.linspace(window[1], window[0], _FIT_SAMPLES)
     res = integrate_linear_ode2(U, p.omega * p.omega, (z_seed, window[0]),
                                 (u, v), tol=_ORACLE_TOL, outputs=list(zs))
-    samples = list(zip(res.z, res.u))
-    amps = amplitudes_fit(samples, p.omega)
+    amps = amplitudes_fit(res.z, res.u, p.omega)
     return abs(amps.Mminus) ** 2 / abs(amps.Mplus) ** 2
 
 

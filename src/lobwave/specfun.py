@@ -30,10 +30,10 @@ Evaluation strategy:
   its error is at most 0.75 times its estimate; the worst cells of the
   whole map, up to 2.7e-11, are on the reflection route at large w.
 
-On a grid (`basis_G1`, `recurrence_shift` and `wronskian_IK` take a 1-D
-array of X) the same switches split X once, so each point takes the
-route it takes alone, and each route runs on its whole share of the
-grid, at most 32 X at a time: the I series and the asymptotic expansion
+All five public kernels take a float or a 1-D array of X.  On a grid
+the same switches split X once, so each point takes the route it takes
+alone, and each route runs on its whole share of the grid, at most 32 X
+at a time: the I series and the asymptotic expansion
 as one (X x term) array (`_i_series_grid`, `_i_asymptotic`), the
 saddle-line rule as one (X x node) array (`_k_contour`), the reflection
 route from those I arrays, and the quadrature as one `quad_adaptive`
@@ -412,15 +412,16 @@ def _k_contour(nu: complex, X: np.ndarray):
 
 def _bessel_K(nu: complex, X):
     w = abs(nu.imag)
+    # bools at a float X, where ~ would not negate, and masks on a grid
+    contour = X > 1.05 * w
+    quadrature = (X <= 1.05 * w) & (X > _K_QUAD_X_MIN) & (w <= 3.0)
     if isinstance(X, np.ndarray):
-        contour = X > 1.05 * w
-        quadrature = ~contour & (X > _K_QUAD_X_MIN) & (w <= 3.0)
         return _on_grid(nu, X, ((contour, _k_contour),
                                 (quadrature, _k_quadrature),
-                                (~contour & ~quadrature, _k_reflection)))
-    if X > 1.05 * w:
+                                (~(contour | quadrature), _k_reflection)))
+    if contour:
         return _at_float(_k_contour, nu, X)
-    if w <= 3.0 and X > _K_QUAD_X_MIN:
+    if quadrature:
         return _at_float(_k_quadrature, nu, X)
     return _k_reflection(nu, X)
 
@@ -428,12 +429,19 @@ def _bessel_K(nu: complex, X):
 # ---------------------------------------------------------------------------
 # public imaginary-order kernels
 
-def bessel_K_imag(omega: float, X: float) -> SpecialValue:
-    """K_{i omega}(X); real-valued by construction."""
+def bessel_K_imag(omega: float, X) -> SpecialValue:
+    """K_{i omega}(X); real-valued by construction.
+
+    X is a float, or a 1-D array on which value and estimate are arrays,
+    as for `basis_G1`.
+    """
     _check_omega(omega)
-    _check_X(X)
-    value, err = _bessel_K(1j * omega, X)
-    return SpecialValue(complex(value.real, 0.0), err)
+
+    def kernel(X):
+        value, err = _bessel_K(1j * omega, X)
+        return value.real + 0j, err
+
+    return _special_value(kernel, X)
 
 
 def wronskian_IK(omega: float, X):
@@ -459,12 +467,13 @@ def wronskian_IK(omega: float, X):
     return _special_value(wronskian, X).value
 
 
-def bessel_I_imag(omega: float, X: float) -> SpecialValue:
-    """I_{i omega}(X); the order -i omega value is its conjugate."""
+def bessel_I_imag(omega: float, X) -> SpecialValue:
+    """I_{i omega}(X); the order -i omega value is its conjugate.
+
+    X is a float or a 1-D array, as for `basis_G1`.
+    """
     _check_omega(omega)
-    _check_X(X)
-    value, err = _bessel_I(1j * omega, X)
-    return SpecialValue(value, err)
+    return _special_value(lambda X: _bessel_I(1j * omega, X), X)
 
 
 # ---------------------------------------------------------------------------
@@ -549,33 +558,22 @@ def basis_G1(branch: BasisBranch, omega: float, X) -> SpecialValue:
     return _special_value(lambda X: _cyl_at_ix(kind, sign * 1j * omega, X), X)
 
 
-def recurrence_shift(branch: BasisBranch, omega: float, X,
-                     line: str = "auto") -> SpecialValue:
-    """x dF/dx at x = iX via the order-shift recurrences.
+def recurrence_shift(branch: BasisBranch, omega: float, X) -> SpecialValue:
+    """x dF/dx at x = iX via the order-shift recurrence of the printed
+    pairing: up for +i omega base orders, down for -i omega ones,
 
-    line="up":   x F' = nu F_nu - x F_{nu+1}
-    line="down": x F' = -nu F_nu + x F_{nu-1}
-    line="auto" picks "up" for +i omega base orders and "down" for
-    -i omega ones (the printed pairing); the two agree identically.
+        x F' = nu F_nu - x F_{nu+1}     (nu = +i omega)
+        x F' = -nu F_nu + x F_{nu-1}    (nu = -i omega).
+
     X is a float or a 1-D array, as for `basis_G1`.
     """
     _check_omega(omega)
     kind, sign = _BRANCH_KIND[branch]
     nu = sign * 1j * omega
-    if line == "auto":
-        line = "up" if sign > 0 else "down"
 
     def shift(X):
-        x = 1j * X
         f0, e0 = _cyl_at_ix(kind, nu, X)
-        if line == "up":
-            f1, e1 = _cyl_at_ix(kind, nu + 1.0, X)
-            value = nu * f0 - x * f1
-        elif line == "down":
-            f1, e1 = _cyl_at_ix(kind, nu - 1.0, X)
-            value = -nu * f0 + x * f1
-        else:
-            raise DomainError(f"unknown recurrence line {line!r}")
-        return value, abs(nu) * e0 + X * e1
+        f1, e1 = _cyl_at_ix(kind, nu + sign, X)
+        return sign * (nu * f0 - 1j * X * f1), abs(nu) * e0 + X * e1
 
     return _special_value(shift, X)

@@ -10,6 +10,7 @@ import json
 import math
 import time
 
+from lobwave import checks
 from lobwave.checks import CHECKS
 from lobwave.cli import main
 
@@ -110,7 +111,11 @@ def test_11_neumann_reflection_audit():
 def test_12_verify_determinism(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
+    # the Maxwell pair reads one cached pass per process: clear it so
+    # that each run computes every check
+    checks._maxwell_worst.cache_clear()
     code1 = main(["verify", "--out", str(out1)])
+    checks._maxwell_worst.cache_clear()
     code2 = main(["verify", "--out", str(out2)])
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     doc = json.loads(b1)

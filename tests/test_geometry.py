@@ -86,6 +86,9 @@ def test_nonfinite_rejected():
 def test_height_overflow_guard():
     with pytest.raises(RangeError):
         to_embedding(QuasiCartesian(0.0, 0.0, 400.0))
+    # x^2 overflows to inf; the finiteness check raises
+    with pytest.raises(RangeError, match="embedding overflow"):
+        to_embedding(QuasiCartesian(1e200, 0.0, 0.0))
     with pytest.raises(RangeError):
         effective_tensors(200.0)
 

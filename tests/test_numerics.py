@@ -271,8 +271,8 @@ def test_quad_calls_f_with_one_array_of_its_rows_nodes():
 def test_fit_exact_two_waves():
     w = 2.0
     zs = np.linspace(-8.0, -6.0, 16)
-    gs = [cmath.exp(1j * w * z) + 0.5 * cmath.exp(-1j * w * z) for z in zs]
-    cp, cm, resid = lsq_fit_two_waves(list(zip(zs, gs)), w)
+    gs = np.exp(1j * w * zs) + 0.5 * np.exp(-1j * w * zs)
+    cp, cm, resid = lsq_fit_two_waves(zs, gs, w)
     assert abs(cp - 1.0) < 1e-12
     assert abs(cm - 0.5) < 1e-12
     assert resid < 1e-12
@@ -281,8 +281,8 @@ def test_fit_exact_two_waves():
 def test_fit_single_wave():
     w = 1.5
     zs = np.linspace(-9.0, -6.0, 12)
-    gs = [2.0 * cmath.exp(1j * w * z) for z in zs]
-    cp, cm, _ = lsq_fit_two_waves(list(zip(zs, gs)), w)
+    gs = 2.0 * np.exp(1j * w * zs)
+    cp, cm, _ = lsq_fit_two_waves(zs, gs, w)
     assert abs(cp - 2.0) < 1e-12
     assert abs(cm) < 1e-12
 
@@ -293,34 +293,36 @@ def test_fit_perturbation_bound():
     zs = np.linspace(-8.0, -6.0, 32)
     noise = 1e-8 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
     gs = np.exp(1j * w * zs) + 0.5 * np.exp(-1j * w * zs) + noise
-    cp, cm, _ = lsq_fit_two_waves(list(zip(zs, gs)), w)
+    cp, cm, _ = lsq_fit_two_waves(zs, gs, w)
     assert abs(cp - 1.0) < 1e-7
     assert abs(cm - 0.5) < 1e-7
 
 
 def test_fit_underdetermined():
     with pytest.raises(ConditioningError):
-        lsq_fit_two_waves([(0.0, 1.0)], 1.0)
+        lsq_fit_two_waves(np.zeros(1), np.ones(1), 1.0)
+    # z and G must pair up one to one
+    zs = np.linspace(-8.0, -6.0, 16)
+    with pytest.raises(DomainError, match="one length"):
+        lsq_fit_two_waves(zs, np.exp(2j * zs)[:-1], 2.0)
 
 
 def test_fit_degenerate_span():
-    samples = [(0.0, 1.0)] * 6
     with pytest.raises(ConditioningError):
-        lsq_fit_two_waves(samples, 1.0)
+        lsq_fit_two_waves(np.zeros(6), np.ones(6), 1.0)
 
 
 def test_fit_non_finite_samples():
     # a non-finite z or G raises ConditioningError: z = inf used to raise
     # LinAlgError, and G = inf or nan to return NaN coefficients
-    zs = np.linspace(-8.0, -6.0, 16)
-    good = list(zip(zs.tolist(), np.exp(2j * zs).tolist()))
-    for i, sample in ((0, (math.inf, 1.0)), (5, (math.nan, 1.0)),
+    for i, (z, g) in ((0, (math.inf, 1.0)), (5, (math.nan, 1.0)),
                       (3, (-7.0, complex(math.inf, 0.0))),
                       (9, (-7.0, complex(0.0, math.nan)))):
-        samples = list(good)
-        samples[i] = sample
+        zs = np.linspace(-8.0, -6.0, 16)
+        gs = np.exp(2j * zs)
+        zs[i], gs[i] = z, g
         with pytest.raises(ConditioningError):
-            lsq_fit_two_waves(samples, 2.0)
+            lsq_fit_two_waves(zs, gs, 2.0)
 
 
 def test_fit_condition_from_singular_values():
@@ -329,13 +331,13 @@ def test_fit_condition_from_singular_values():
     # same window squeezed below a quarter period's width raises
     zs = np.linspace(-8.0, -6.0, 16)
     cp, cm, resid = lsq_fit_two_waves(
-        list(zip(zs, np.exp(2j * zs) + 0.5 * np.exp(-2j * zs))), 2.0)
+        zs, np.exp(2j * zs) + 0.5 * np.exp(-2j * zs), 2.0)
     assert abs(cp - 1.0) < 1e-14 and abs(cm - 0.5) < 1e-14 and resid < 1e-14
     tight = -7.0 + 1e-10 * (zs + 7.0)
     design = np.column_stack([np.exp(2j * tight), np.exp(-2j * tight)])
     assert np.linalg.cond(design) > 1e8
     with pytest.raises(ConditioningError, match="ill-conditioned"):
-        lsq_fit_two_waves(list(zip(tight, np.exp(2j * tight))), 2.0)
+        lsq_fit_two_waves(tight, np.exp(2j * tight), 2.0)
 
 
 @given(st.floats(0.0, 2.0 * math.pi))
@@ -346,7 +348,7 @@ def test_fit_residual_phase_invariant(phi):
     zs = np.linspace(-8.0, -6.0, 16)
     gs = np.exp(1j * w * zs) + 0.3 * np.exp(-1j * w * zs) \
         + 1e-6 * rng.standard_normal(16)
-    _, _, r0 = lsq_fit_two_waves(list(zip(zs, gs)), w)
+    _, _, r0 = lsq_fit_two_waves(zs, gs, w)
     rot = cmath.exp(1j * phi)
-    _, _, r1 = lsq_fit_two_waves(list(zip(zs, gs * rot)), w)
+    _, _, r1 = lsq_fit_two_waves(zs, gs * rot, w)
     assert abs(r0 - r1) < 1e-12

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import mpmath
@@ -89,6 +90,14 @@ _K_OMEGAS = (0.05, 0.5, 2.0, 3.0, 3.05, 5.0, 8.0, 10.0, 14.0, 20.0, 35.0, 50.0)
 _K_SHIFTS = (-1.0, 0.0, 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_besselk(shift, w, X):
+    """40-digit mpmath K_{shift + i w}(X), computed once per session: the K
+    tests and `_reference_G` share many cells."""
+    with mpmath.workdps(40):
+        return mpmath.besselk(mpmath.mpc(shift, w), X)
+
+
 def _k_cells():
     for w in _K_OMEGAS:
         xs = {1e-3, 0.1 * (1.0 - 1e-9), 0.1 * (1.0 + 1e-9),
@@ -101,12 +110,11 @@ def _k_cells():
 
 def test_bessel_k_against_mpmath():
     worst = (0.0, None)
-    with mpmath.workdps(40):
-        for w, X in _k_cells():
-            for shift in _K_SHIFTS:
-                got = _bessel_K(complex(shift, w), X)[0]
-                ref = complex(mpmath.besselk(mpmath.mpc(shift, w), X))
-                worst = max(worst, (abs(got - ref) / abs(ref), (w, X, shift)))
+    for w, X in _k_cells():
+        for shift in _K_SHIFTS:
+            got = _bessel_K(complex(shift, w), X)[0]
+            ref = complex(_mp_besselk(shift, w, X))
+            worst = max(worst, (abs(got - ref) / abs(ref), (w, X, shift)))
     err, where = worst
     assert err <= 1e-10, f"relative error {err:.2e} at (w, X, shift) = {where}"
 
@@ -164,16 +172,15 @@ def test_float_x_is_a_one_x_block():
 
 def test_k_contour_estimate_bounds_error():
     worst_ratio = worst_size = (0.0, None)
-    with mpmath.workdps(40):
-        for w in _K_OMEGAS:
-            X = np.array([x for v, x in _k_cells() if v == w and x > 1.05 * w])
-            for shift in _K_SHIFTS:
-                got, est = _k_contour(complex(shift, w), X)
-                for i, x in enumerate(X.tolist()):
-                    ref = complex(mpmath.besselk(mpmath.mpc(shift, w), x))
-                    where = (w, x, shift)
-                    worst_ratio = max(worst_ratio, (abs(got[i] - ref) / est[i], where))
-                    worst_size = max(worst_size, (est[i] / abs(ref), where))
+    for w in _K_OMEGAS:
+        X = np.array([x for v, x in _k_cells() if v == w and x > 1.05 * w])
+        for shift in _K_SHIFTS:
+            got, est = _k_contour(complex(shift, w), X)
+            for i, x in enumerate(X.tolist()):
+                ref = complex(_mp_besselk(shift, w, x))
+                where = (w, x, shift)
+                worst_ratio = max(worst_ratio, (abs(got[i] - ref) / est[i], where))
+                worst_size = max(worst_size, (est[i] / abs(ref), where))
     assert worst_ratio[0] <= 10.0, f"|err| / estimate {worst_ratio}"
     assert worst_size[0] <= 1e-11, f"estimate / |K| {worst_size}"
 
@@ -311,12 +318,19 @@ def test_neumann_from_hankels():
 
 
 def test_recurrence_lines_agree():
+    # x F' = nu F_nu - x F_{nu+1} (up) = -nu F_nu + x F_{nu-1} (down), and
+    # recurrence_shift is the printed pairing: up for +i omega base orders,
+    # down for -i omega ones
     for br in BasisBranch:
+        kind, sign = _MAP_KIND[br]
         for (w, X) in ((0.5, 0.3), (2.0, 5.0), (6.0, 2.0)):
-            up = recurrence_shift(br, w, X, line="up").value
-            down = recurrence_shift(br, w, X, line="down").value
+            nu = sign * 1j * w
+            f0 = specfun._cyl_at_ix(kind, nu, X)[0]
+            up = nu * f0 - 1j * X * specfun._cyl_at_ix(kind, nu + 1.0, X)[0]
+            down = -nu * f0 + 1j * X * specfun._cyl_at_ix(kind, nu - 1.0, X)[0]
             scale = max(abs(up), abs(down), 1e-300)
             assert abs(up - down) <= 1e-10 * scale
+            assert recurrence_shift(br, w, X).value == (up if sign > 0 else down)
 
 
 def test_recurrence_matches_finite_difference():
@@ -339,16 +353,17 @@ def test_hankel1_decays_beyond_turning_point():
 
 
 def test_domain_guards():
-    with pytest.raises(DomainError):
-        bessel_K_imag(0.0, 1.0)
-    with pytest.raises(DomainError):
-        bessel_K_imag(51.0, 1.0)
-    with pytest.raises(DomainError):
-        bessel_K_imag(1.0, 0.0)
-    with pytest.raises(RangeError):
-        bessel_K_imag(1.0, 800.0)
-    with pytest.raises(DomainError):
-        recurrence_shift(BasisBranch.HANKEL1, 1.0, 1.0, line="sideways")
+    # on a float X and on a one-X grid alike
+    for kernel in (bessel_K_imag, bessel_I_imag):
+        for X in (1.0, np.array([1.0])):
+            with pytest.raises(DomainError):
+                kernel(0.0, X)
+            with pytest.raises(DomainError):
+                kernel(51.0, X)
+            with pytest.raises(DomainError):
+                kernel(1.0, 0.0 * X)
+            with pytest.raises(RangeError):
+                kernel(1.0, 800.0 * X)
 
 
 @given(st.floats(0.3, 10.0), st.floats(0.2, 25.0))
@@ -409,12 +424,11 @@ def test_k_quadrature_estimate_bounds_error():
     cells = [(w, X) for w, X in _k_cells() if _expected_k_route(w, X) == "_k_quadrature"]
     cells += [(w, X) for w, X in zip(ws.tolist(), xs.tolist()) if X > 0.1]
     worst = (0.0, None)
-    with mpmath.workdps(30):
-        for w, X in cells:
-            for shift in _K_SHIFTS:
-                value, est = _k_quadrature(complex(shift, w), np.array([X]))
-                ref = complex(mpmath.besselk(mpmath.mpc(shift, w), X))
-                worst = max(worst, (abs(value[0] - ref) / est[0], (w, X, shift)))
+    for w, X in cells:
+        for shift in _K_SHIFTS:
+            value, est = _k_quadrature(complex(shift, w), np.array([X]))
+            ref = complex(_mp_besselk(shift, w, X))
+            worst = max(worst, (abs(value[0] - ref) / est[0], (w, X, shift)))
     assert worst[0] <= 10.0, f"|err| / estimate {worst}"
 
 
@@ -457,12 +471,12 @@ def _reference_G(w, X):
     """{branch: (G1, G2)} at one (w, X), from 40-digit mpmath I and K, with
     x dC/dx from the order averages I' = (I_{nu-1} + I_{nu+1})/2 and
     K' = -(K_{nu-1} + K_{nu+1})/2 rather than the one-sided shifts."""
+    # K_{-nu} = K_nu, so K_{-i w + shift} = K_{i w - shift}
+    bk = {shift: _mp_besselk(float(shift), w, X) for shift in (-1, 0, 1)}
     with mpmath.workdps(40):
         X = mpmath.mpf(X)
         bi = {(sign, shift): mpmath.besseli(mpmath.mpc(shift, sign * w), X)
               for sign in (1, -1) for shift in (-1, 0, 1)}
-        # K_{-nu} = K_nu, so K_{-i w + shift} = K_{i w - shift}
-        bk = {shift: mpmath.besselk(mpmath.mpc(shift, w), X) for shift in (-1, 0, 1)}
         out = {}
         for br, (kind, sign) in _MAP_KIND.items():
             nu = sign * 1j * w
@@ -532,6 +546,19 @@ def test_grid_raises_what_the_point_loop_raises():
         # does point by point: bessel- at omega = 10 overflows at X = 700
         with pytest.raises(RangeError, match="X = 700.0: .* overflows a double"):
             basis_G1(BasisBranch.BESSEL_MINUS, 10.0, np.append(head, [700.0, 701.0]))
+        # the public K and I on routes whose rows do not depend on the
+        # block (the quadrature at X <= 1.05 omega, the asymptotic series at
+        # X >= 40): each grid row is the float call, bit for bit
+        for kernel, X in ((bessel_K_imag, 0.4 * head), (bessel_I_imag, 40.0 + head)):
+            grid = kernel(2.0, X)
+            for i, x in enumerate(X.tolist()):
+                one = kernel(2.0, x)
+                assert (grid.value[i], grid.abs_err_estimate[i]) == (
+                    one.value, one.abs_err_estimate), (kernel.__name__, x)
+            with pytest.raises(RangeError, match="X = 701.0 "):
+                kernel(2.0, np.append(X, [701.0, 0.0]))
+            with pytest.raises(DomainError, match="X = 0.0 "):
+                kernel(2.0, np.append(X, [0.0, 701.0]))
     assert basis_G1(BasisBranch.HANKEL1, 2.0, np.array([])).value.shape == (0,)
 
 
