@@ -30,9 +30,10 @@ from .modes import (
     plane_wave_amplitudes,
     plane_wave_special,
 )
-from .numerics import ToleranceSpec, integrate_linear_ode2
+from .numerics import integrate_linear_ode2
 from .scattering import envelope_crossing, neumann_audit, reflection, turning_point
-from .specfun import gamma_modulus_sq, log_gamma, recurrence_shift, wronskian_IK
+from .specfun import (basis_G1, gamma_modulus_sq, log_gamma, recurrence_shift,
+                      wronskian_IK)
 
 __all__ = ["Check", "CHECKS"]
 
@@ -194,11 +195,10 @@ def _ode_deviation(branch, p, span):
     seeded with the closed form at span[0]."""
     w, k = p.omega, p.kappa
     zs = np.linspace(span[0], span[1], 25)
-    g1_seed, _ = eval_G(branch, p, span[0])
-    dg1_seed = recurrence_shift(branch, w, k * math.exp(span[0])).value
+    X0 = k * math.exp(span[0])
+    seed = (basis_G1(branch, w, X0).value, recurrence_shift(branch, w, X0).value)
     res = integrate_linear_ode2(
-        lambda z: k * k * math.exp(2.0 * z), w * w, span, (g1_seed, dg1_seed),
-        tol=ToleranceSpec(rel_tol=1e-11, abs_tol=0.0), outputs=zs.tolist())
+        lambda z: k * k * math.exp(2.0 * z), w * w, span, seed, zs.tolist())
     closed = eval_G(branch, p, zs)[0]
     return (float(np.max(np.abs(np.array(res.u) - closed)))
             / float(np.max(np.abs(closed))))

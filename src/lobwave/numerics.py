@@ -27,21 +27,6 @@ import numpy as np
 from .errors import AccuracyError, ConditioningError, DomainError
 
 
-@dataclass(frozen=True)
-class ToleranceSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 2_000_000
-
-    def __post_init__(self):
-        if self.rel_tol < 1e-14:
-            raise DomainError("rel_tol below 1e-14 is not attainable in doubles")
-        if self.abs_tol < 0.0:
-            raise DomainError("abs_tol must be >= 0")
-        if self.max_steps <= 0:
-            raise DomainError("max_steps must be positive")
-
-
 @dataclass
 class IntegrationResult:
     z: list = field(default_factory=list)
@@ -141,22 +126,28 @@ _BHH9 = 0.733846688281611857341361741547
 _BHH12 = 0.220588235294117647058823529412e-1
 
 
-def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
+# the integrator's per-step relative tolerance (there is no absolute
+# floor) and its budget of attempted steps
+_ODE_REL_TOL = 1e-11
+_ODE_MAX_STEPS = 2_000_000
+
+
+def integrate_linear_ode2(coeff, omega2, span, init, outputs):
     """Integrate u'' = (coeff(z) - omega2) u with the DOP853 pair.
 
     `span` is (z_start, z_end) in either direction; `init` is (u, u') at
-    z_start; `outputs` is an optional list of z values (ordered along the
+    z_start; `outputs` is a list of z values (ordered along the
     integration direction) at which (u, u') is recorded; steps are clipped
     to land on each.  The state is complex; error control is per step and
     per component, on u and on u'/scale, with DOP853's combined 5th/3rd-
-    order estimate and step exponent 1/8.
+    order estimate and step exponent 1/8, at a relative tolerance of 1e-11
+    and no absolute floor.  Raises AccuracyError past 2,000,000 steps.
     """
-    tol = tol or ToleranceSpec()
     z0, z1 = float(span[0]), float(span[1])
     if not (math.isfinite(z0) and math.isfinite(z1)) or z0 == z1:
         raise DomainError(f"bad integration span ({z0}, {z1})")
     direction = 1.0 if z1 > z0 else -1.0
-    outputs = [float(zo) for zo in (outputs if outputs is not None else [z1])]
+    outputs = [float(zo) for zo in outputs]
     for zo in outputs:
         if (zo - z0) * direction < -1e-12 or (z1 - zo) * direction < -1e-12:
             raise DomainError(f"output point {zo} outside span")
@@ -173,10 +164,9 @@ def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
     h = direction * min(0.1, 0.1 / rate0)
     out_idx = 0
     n_out = len(outputs)
-    abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
 
     while out_idx < n_out:
-        if result.n_accepted + result.n_rejected > max_steps:
+        if result.n_accepted + result.n_rejected > _ODE_MAX_STEPS:
             raise AccuracyError("integrate_linear_ode2: step budget exhausted")
         target = outputs[out_idx]
         if (target - z) * direction <= 1e-14 * max(1.0, abs(z)):
@@ -255,12 +245,12 @@ def integrate_linear_ode2(coeff, omega2, span, init, tol=None, outputs=None):
         vscale = math.sqrt(abs(q)) + 1e-30
         # local tolerances carry a safety margin so the accumulated global
         # error stays at the requested level
-        sc_u = 0.1 * (abs_tol + rel_tol * max(abs(u), abs(u_new)))
-        sc_v = 0.1 * (abs_tol + rel_tol * max(abs(v), abs(v_new)))
+        sc_u = 0.1 * (_ODE_REL_TOL * max(abs(u), abs(u_new)))
+        sc_v = 0.1 * (_ODE_REL_TOL * max(abs(v), abs(v_new)))
         sc_v += sc_u * vscale
         # per component |h| e5^2 / sqrt(e5^2 + 0.01 e3^2), in the hypot
         # form that cannot overflow.  A zero e5 is zero error, also where a
-        # zero state with abs_tol = 0 makes the scale 0
+        # zero state makes the scale 0
         a5, a3 = (abs(e5u) / sc_u, abs(e3u) / sc_u) if e5u else (0.0, 0.0)
         err_u = a5 * (a5 / math.hypot(a5, 0.1 * a3)) if a5 > 0.0 else 0.0
         a5, a3 = (abs(e5v) / sc_v, abs(e3v) / sc_v) if e5v else (0.0, 0.0)
@@ -299,6 +289,8 @@ _PANELS0 = 8
 _ODD = np.arange(1.0, 2 * _PANELS0, 2.0)
 # rounding error of a panel's value, per unit of its integral of |f|
 _ROUNDING = 2.2e-16
+# panels per integral
+_PANEL_LIMIT = 4000
 
 
 def _gk15(fx, half):
@@ -326,7 +318,7 @@ def _reject(a, b, tol):
     raise DomainError(f"quad_adaptive: tol = {tol[np.argmin(tol > 0.0)]} must be positive")
 
 
-def quad_adaptive(f, interval, tol=1e-12, limit=2000):
+def quad_adaptive(f, interval, tol):
     """Globally adaptive Gauss-Kronrod integration of f over `interval`,
     one integral or many at once.
 
@@ -341,7 +333,7 @@ def quad_adaptive(f, interval, tol=1e-12, limit=2000):
     whose error exceeds its tol splits every panel whose squared error is
     at least an even share of its total, and all new panels of the round
     go to f in one call.  Returns (value, error_estimate); raises
-    AccuracyError when an integral would need more than `limit` panels.
+    AccuracyError when an integral would need more than 4000 panels.
     """
     scalar = np.ndim(interval[1]) == 0 and np.ndim(tol) == 0
     a = float(interval[0])
@@ -383,11 +375,11 @@ def quad_adaptive(f, interval, tol=1e-12, limit=2000):
         count = count + nsplit
         # past the limit, or over tol with no panel to split (by rounding
         # in the total)
-        stuck = active & ((count > limit) | (nsplit == 0))
+        stuck = active & ((count > _PANEL_LIMIT) | (nsplit == 0))
         if stuck.any():
             i = np.argmax(stuck)
             tol = np.broadcast_to(tol, b.shape)[i]
-            raise AccuracyError(f"quad_adaptive: more than {limit} segments needed, "
+            raise AccuracyError(f"quad_adaptive: more than {_PANEL_LIMIT} segments needed, "
                                 f"error {math.sqrt(total[i]) * tol:.3e} > {tol:.3e}")
         # the split panels of each row first, in column order
         width = nsplit.max()

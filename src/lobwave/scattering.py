@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError, RangeError
 from .modes import ModeParams, _exp_z, _require_kappa
-from .numerics import ToleranceSpec, integrate_linear_ode2, lsq_fit_two_waves
+from .numerics import integrate_linear_ode2, lsq_fit_two_waves
 from .specfun import BasisBranch, basis_G1, log_gamma, recurrence_shift
 
 __all__ = [
@@ -340,9 +340,6 @@ def _decaying_seed_X(omega: float) -> float:
     return X
 
 
-_ORACLE_TOL = ToleranceSpec(rel_tol=1e-11, abs_tol=0.0)
-
-
 def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float:
     """R from a from-scratch integration of G'' + (omega^2 - U) G = 0.
 
@@ -384,7 +381,7 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
     window = _fit_window(p)
     zs = np.linspace(window[1], window[0], _FIT_SAMPLES)
     res = integrate_linear_ode2(U, p.omega * p.omega, (z_seed, window[0]),
-                                (u, v), tol=_ORACLE_TOL, outputs=list(zs))
+                                (u, v), list(zs))
     amps = amplitudes_fit(res.z, res.u, p.omega)
     return abs(amps.Mminus) ** 2 / abs(amps.Mplus) ** 2
 
@@ -392,14 +389,25 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
 # ---------------------------------------------------------------------------
 # local behavior at the turning point
 
-def near_turning_exponent(p: ModeParams, window: float = 0.02, n: int = 33,
-                          profile=None) -> float:
+# u = X/omega - 1 at the samples of near_turning_exponent
+_NEAR_TURNING_U = np.linspace(-0.02, 0.02, 33)
+
+
+def _log_slope(us, values):
+    """Least-squares slope of ln|values| against us."""
+    mags = np.abs(values)
+    if np.any(mags <= 0.0):
+        raise ConditioningError("profile vanishes inside the fit window")
+    slope, _ = np.polyfit(us, np.log(mags), 1)
+    return float(slope)
+
+
+def near_turning_exponent(p: ModeParams) -> float:
     """Fitted slope B of ln|G1| against u near the turning point.
 
     The local coordinate is u with X = omega (1 + u); the decaying branch
-    is sampled over |u| <= window and B comes from a straight-line least
-    squares fit.  `profile` may replace the default kernel with any
-    callable u -> value (used to validate the fitter on synthetic data).
+    is sampled at 33 points on |u| <= 0.02 by one basis_G1 grid call,
+    and B comes from a straight-line least squares fit.
 
     The leading-order local model allows only B = 0 or B = -1, with
     B = -1 on the physical branch; the measured slope also carries the
@@ -407,20 +415,9 @@ def near_turning_exponent(p: ModeParams, window: float = 0.02, n: int = 33,
     large omega the fitted value lies well below -1.
     """
     _require_kappa(p)
-    if not 0.0 < window < 0.5:
-        raise ConditioningError(f"window {window} must lie in (0, 0.5)")
-    if n < 5:
-        raise ConditioningError("need at least 5 sample points")
-    if profile is None:
-        def profile(u):
-            return basis_G1(BasisBranch.HANKEL1, p.omega,
-                            p.omega * (1.0 + u)).value
-    us = np.linspace(-window, window, n)
-    vals = np.array([abs(profile(float(u))) for u in us])
-    if np.any(vals <= 0.0):
-        raise ConditioningError("profile vanishes inside the fit window")
-    slope, _ = np.polyfit(us, np.log(vals), 1)
-    return float(slope)
+    X = p.omega * (1.0 + _NEAR_TURNING_U)
+    return _log_slope(_NEAR_TURNING_U,
+                      basis_G1(BasisBranch.HANKEL1, p.omega, X).value)
 
 
 _CROSSING_SEARCH = 3.0

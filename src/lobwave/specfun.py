@@ -266,7 +266,9 @@ def _i_series_grid(nu: complex, X: np.ndarray):
     # third[:, i] covers terms i + 1 .. i + 3
     stop = np.argmax(third, axis=1) + 3
     rows = np.arange(X.size)
-    biggest = np.where(np.arange(n + 1) <= stop[:, None], size, 0.0).max(axis=1)
+    # the largest term comes before the stop: past their peak the terms
+    # only shrink
+    biggest = size.max(axis=1)
     return totals[rows, stop], size[rows, stop] + 1e-16 * biggest
 
 
@@ -341,7 +343,7 @@ def _k_quadrature(nu: complex, X: np.ndarray):
                     + 1j * (e * np.sinh(r * t) * np.sin(w * t)))
 
     try:
-        return quad_adaptive(integrand, (0.0, tmax), tol=tol, limit=4000)
+        return quad_adaptive(integrand, (0.0, tmax), tol)
     except AccuracyError as exc:
         raise AccuracyError(f"K quadrature did not converge (nu={nu}, X from "
                             f"{X.min()} to {X.max()})") from exc
@@ -373,8 +375,9 @@ def _k_contour(nu: complex, X: np.ndarray):
     K_nu = 1/2 e^{-a - w c} e^{i r c}
            int e^{-a (cosh s - 1) + r s} e^{i w (s - sinh s)} ds,
     whose integrand is analytic for |Im s| < pi/2 - |c| and cancels nowhere.
-    X is a block: one (X x node) array, each row masked past its own node
-    count.
+    X is a block: one (X x node) array, each row zeroed past its own node
+    count.  Rows are summed in order (np.add.accumulate): numpy's pairwise
+    sum would group a row's terms by the block's largest node count.
     """
     r, w = nu.real, nu.imag
     c = np.arcsin(w / X)
@@ -395,15 +398,15 @@ def _k_contour(nu: complex, X: np.ndarray):
         s = h * k
         f = np.where(k <= n, np.exp(-a * (np.cosh(s) - 1.0))
                      * np.cos(w * (s - np.sinh(s))), 0.0)
-        total = 2.0 * f.sum(axis=1) - f[:, 0]
-        abs_total = 2.0 * np.abs(f).sum(axis=1) - np.abs(f[:, 0])
+        total = 2.0 * np.add.accumulate(f, 1)[:, -1] - f[:, 0]
+        abs_total = 2.0 * np.add.accumulate(np.abs(f), 1)[:, -1] - np.abs(f[:, 0])
     else:
         k = np.concatenate((-k[:0:-1], k))
         s = h * k
         f = np.where(np.abs(k) <= n, np.exp(-a * (np.cosh(s) - 1.0) + r * s
                                             + 1j * (w * (s - np.sinh(s)))), 0.0)
-        total = f.sum(axis=1) * np.exp(1j * r * c)
-        abs_total = np.abs(f).sum(axis=1)
+        total = np.add.accumulate(f, 1)[:, -1] * np.exp(1j * r * c)
+        abs_total = np.add.accumulate(np.abs(f), 1)[:, -1]
     value = prefactor * total
     err = 2.2e-16 * (4.0 * prefactor * abs_total
                      + (2.0 + a[:, 0] + np.abs(w * c)) * np.abs(value))

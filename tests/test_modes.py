@@ -334,11 +334,16 @@ def test_one_quadrature_call_per_k_route_call(monkeypatch):
 
 def test_ode_deviation_one_grid_call(monkeypatch):
     calls = _recorded(monkeypatch, checks, "eval_G")
+    seeds = [_recorded(monkeypatch, checks, name)
+             for name in ("basis_G1", "recurrence_shift")]
     p = ModeParams(1.0, 1.0, 0.0)
     dev = checks._ode_deviation(BasisBranch.BESSEL_PLUS, p, (-6.0, 3.0))
     assert dev < 1e-7
-    # the float seed at span[0], then the 25 heights as one grid
-    assert [np.shape(args[2]) for args in calls] == [(), (25,)]
+    # the seed from one float call of each kernel at X = kappa e^{span[0]},
+    # then the 25 heights as one grid
+    for seed in seeds:
+        assert seed == [(BasisBranch.BESSEL_PLUS, 1.0, math.exp(-6.0))]
+    assert [np.shape(args[2]) for args in calls] == [(25,)]
 
 
 def test_float_height_past_exp_range_raises_range_error():

@@ -9,25 +9,11 @@ from hypothesis import strategies as st
 
 from lobwave import numerics as nm
 from lobwave.errors import AccuracyError, ConditioningError, DomainError
-from lobwave.numerics import (
-    ToleranceSpec,
-    integrate_linear_ode2,
-    lsq_fit_two_waves,
-    quad_adaptive,
-)
+from lobwave.numerics import integrate_linear_ode2, lsq_fit_two_waves, quad_adaptive
 
 # golden values computed once with an independent high-precision library
 K0_AT_1 = 0.42102443824070833334
 K0_AT_2 = 0.11389387274953343565
-
-
-def test_tolerance_spec_validation():
-    with pytest.raises(DomainError):
-        ToleranceSpec(rel_tol=1e-15)
-    with pytest.raises(DomainError):
-        ToleranceSpec(abs_tol=-1.0)
-    with pytest.raises(DomainError):
-        ToleranceSpec(max_steps=0)
 
 
 def test_dop853_tableau():
@@ -57,7 +43,7 @@ def test_dop853_tableau():
 
 def test_cosine_oscillator():
     res = integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 2.0 * math.pi),
-                                (1.0, 0.0))
+                                (1.0, 0.0), [2.0 * math.pi])
     assert abs(res.u[-1] - 1.0) < 1e-10
     assert abs(res.du[-1]) < 1e-10
 
@@ -65,35 +51,22 @@ def test_cosine_oscillator():
 def test_constant_coefficient_plane_wave():
     w = 3.0
     res = integrate_linear_ode2(lambda z: 0.0, w * w, (0.0, 5.0),
-                                (1.0, 1j * w))
+                                (1.0, 1j * w), [5.0])
     assert abs(res.u[-1] - cmath.exp(1j * w * 5.0)) < 1e-9
-
-
-def test_integration_order_at_least_four():
-    def run(rel):
-        tol = ToleranceSpec(rel_tol=rel, abs_tol=0.0)
-        res = integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 2.0 * math.pi),
-                                    (1.0, 0.0), tol=tol)
-        return abs(res.u[-1] - 1.0)
-
-    loose, tight = run(1e-6), run(1e-10)
-    assert tight < loose
-    assert tight < 1e-9
 
 
 def test_dense_output_and_direction():
     outs = [3.0, 2.0, 1.0]
-    res = integrate_linear_ode2(lambda z: 0.0, 1.0, (4.0, 0.0), (1.0, 0.0),
-                                outputs=outs)
+    res = integrate_linear_ode2(lambda z: 0.0, 1.0, (4.0, 0.0), (1.0, 0.0), outs)
     assert res.z == outs
     for z, u in zip(res.z, res.u):
         assert abs(u - math.cos(z - 4.0)) < 1e-9
 
 
 def test_zero_state_with_zero_abs_tol_stays_zero():
-    # both error terms are 0 and so is the error scale: zero error, not 0/0
-    res = integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 1.0), (0.0, 0.0),
-                                tol=ToleranceSpec(rel_tol=1e-10, abs_tol=0.0))
+    # both error terms are 0 and so is the error scale, which has no
+    # absolute floor: zero error, not 0/0
+    res = integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 1.0), (0.0, 0.0), [1.0])
     assert res.z == [1.0]
     assert res.u == [0.0] and res.du == [0.0]
     assert res.n_rejected == 0
@@ -101,21 +74,20 @@ def test_zero_state_with_zero_abs_tol_stays_zero():
 
 def test_output_outside_span_rejected():
     with pytest.raises(DomainError):
-        integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 1.0), (1.0, 0.0),
-                              outputs=[2.0])
+        integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 1.0), (1.0, 0.0), [2.0])
 
 
 # the integrands of the next three tests decay at least like e^{-t}: past
 # t = 40 their tails are below 1e-17
 def test_quad_exponential_tail():
-    val, err = quad_adaptive(lambda t: np.exp(-t), (0.0, 40.0))
+    val, err = quad_adaptive(lambda t: np.exp(-t), (0.0, 40.0), tol=1e-12)
     assert abs(val - 1.0) < 1e-12
 
 
 def test_quad_bessel_k_goldens():
     for X, golden in ((1.0, K0_AT_1), (2.0, K0_AT_2)):
         val, err = quad_adaptive(lambda t: np.exp(-X * np.cosh(t)),
-                                 (0.0, 40.0))
+                                 (0.0, 40.0), tol=1e-12)
         assert abs(val - golden) < 1e-12
 
 
@@ -152,10 +124,10 @@ def test_quad_tolerance_guards():
         quad_adaptive(np.exp, (0.0, 1.0), tol=0.0)
     with pytest.raises(DomainError):
         quad_adaptive(np.exp, (0.0, np.array([1.0, 2.0])), tol=np.array([1e-9, -1.0]))
-    # a tolerance far below rounding exhausts the panels; it must not
-    # overflow the error norm on the way
+    # a tolerance far below rounding exhausts the 4000 panels; it must
+    # not overflow the error norm on the way
     with pytest.raises(AccuracyError):
-        quad_adaptive(np.ones_like, (0.0, 1.0), tol=1e-300, limit=50)
+        quad_adaptive(np.ones_like, (0.0, 1.0), tol=1e-300)
 
 
 def test_quad_error_estimate_honest_for_tiny_integrals():
@@ -222,10 +194,11 @@ def test_quad_adaptive_golden_bits(name, tol):
 
 
 def test_quad_adaptive_golden_accuracy_error():
+    # about 4800 periods: more than the 4000 panels allowed
     with pytest.raises(AccuracyError) as info:
-        quad_adaptive(np.sqrt, (0.0, 1.0), tol=1e-15, limit=8)
+        quad_adaptive(lambda t: np.sin(3e4 * t), (0.0, 1.0), tol=1e-10)
     assert str(info.value) == (
-        "quad_adaptive: more than 8 segments needed, error 9.984e-04 > 1.000e-15")
+        "quad_adaptive: more than 4000 segments needed, error 7.070e-04 > 1.000e-10")
 
 
 def test_quad_batch_is_the_scalar_calls_bit_for_bit():
@@ -244,11 +217,12 @@ def test_quad_batch_is_the_scalar_calls_bit_for_bit():
             assert got == (value[i], err[i]), (nu, x)
     p = np.array([0.5, 1.5, 3.0, -0.5])
     value, err = quad_adaptive(lambda t: t ** p[:, None], (0.0, np.ones(4)),
-                               tol=1e-11, limit=4000)
+                               tol=1e-11)
     for i, q in enumerate(p.tolist()):
-        assert quad_adaptive(lambda t: t ** q, (0.0, 1.0), tol=1e-11,
-                             limit=4000) == (value[i], err[i])
-    assert type(value) is np.ndarray and type(quad_adaptive(np.exp, (0.0, 1.0))[0]) is float
+        assert quad_adaptive(lambda t: t ** q, (0.0, 1.0),
+                             tol=1e-11) == (value[i], err[i])
+    assert type(value) is np.ndarray
+    assert type(quad_adaptive(np.exp, (0.0, 1.0), tol=1e-12)[0]) is float
 
 
 def test_quad_calls_f_with_one_array_of_its_rows_nodes():

@@ -21,6 +21,7 @@ from lobwave.scattering import (
     schrodinger_potential,
     turning_point,
     _kernel_samples,
+    _log_slope,
 )
 from lobwave.specfun import BasisBranch, basis_G1, gamma_modulus_sq
 
@@ -239,11 +240,13 @@ def test_neumann_audit_discrepancy():
 
 
 def test_near_turning_synthetic():
-    p = ModeParams(10.0, 1.0, 0.0)
-    assert near_turning_exponent(p, profile=lambda u: math.exp(-u)) == \
-        pytest.approx(-1.0, abs=1e-6)
-    assert near_turning_exponent(p, profile=lambda u: 3.0) == \
-        pytest.approx(0.0, abs=1e-6)
+    # the line fit of near_turning_exponent on its window, with synthetic
+    # profiles of slope -1 and 0, and one that vanishes at a point
+    us = scattering._NEAR_TURNING_U
+    assert _log_slope(us, np.exp(-us)) == pytest.approx(-1.0, abs=1e-6)
+    assert _log_slope(us, np.full(us.size, 3.0 + 0j)) == pytest.approx(0.0, abs=1e-6)
+    with pytest.raises(ConditioningError, match="vanishes"):
+        _log_slope(us, np.where(us == 0.0, 0.0, 1.0))
 
 
 def test_near_turning_measured_slope():
@@ -255,14 +258,6 @@ def test_near_turning_measured_slope():
     B = near_turning_exponent(p)
     assert B == pytest.approx(-4.4624, abs=0.05)
     assert B < -1.0  # decaying, same sign as the B = -1 local branch
-
-
-def test_near_turning_guards():
-    p = ModeParams(2.0, 1.0, 0.0)
-    with pytest.raises(ConditioningError):
-        near_turning_exponent(p, window=0.9)
-    with pytest.raises(ConditioningError):
-        near_turning_exponent(p, n=3)
 
 
 def _envelope_crossing_full_scan(p):

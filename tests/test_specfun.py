@@ -168,6 +168,15 @@ def test_float_x_is_a_one_x_block():
             for nu in (1j * w, -1j * w, complex(1.0, w), complex(-1.0, w)):
                 value, err = kernel(nu, np.array([x]))
                 assert kernel(nu, x) == (value[0], err[0]), (kernel.__name__, nu, x)
+    # and a saddle-line row of a longer block, whose X need different node
+    # counts, is the float call too: a row's sum does not depend on the rest
+    # of its block
+    for w in (0.5, 2.0, 20.0):
+        X = np.geomspace(1.05 * w + 0.01, 700.0, 40)
+        for nu in (1j * w, complex(1.0, w), complex(-1.0, w)):
+            value, err = _bessel_K(nu, X)
+            for i, x in enumerate(X.tolist()):
+                assert _bessel_K(nu, x) == (value[i], err[i]), (nu, x)
 
 
 def test_k_contour_estimate_bounds_error():
@@ -393,7 +402,7 @@ def test_k_quadrature_real_integrand_matches_the_complex_one():
         value, err = _k_quadrature(1j * w, X)
         ref, _ = quad_adaptive(
             lambda t: np.exp(-X[:, None] * np.cosh(t)) * np.cosh(1j * w * t),
-            (0.0, tmax), tol=1e-13 * np.exp(-X), limit=4000)
+            (0.0, tmax), tol=1e-13 * np.exp(-X))
         assert np.all(np.abs(value - ref) <= 4.4e-16 * np.exp(-X) * tmax), w
 
 
@@ -475,8 +484,10 @@ def _reference_G(w, X):
     bk = {shift: _mp_besselk(float(shift), w, X) for shift in (-1, 0, 1)}
     with mpmath.workdps(40):
         X = mpmath.mpf(X)
-        bi = {(sign, shift): mpmath.besseli(mpmath.mpc(shift, sign * w), X)
-              for sign in (1, -1) for shift in (-1, 0, 1)}
+        # I_{s - i w}(X) = conj I_{s + i w}(X) for real s and X > 0
+        plus = {shift: mpmath.besseli(mpmath.mpc(shift, w), X) for shift in (-1, 0, 1)}
+        bi = {(sign, shift): v if sign == 1 else mpmath.conj(v)
+              for sign in (1, -1) for shift, v in plus.items()}
         out = {}
         for br, (kind, sign) in _MAP_KIND.items():
             nu = sign * 1j * w
@@ -546,10 +557,11 @@ def test_grid_raises_what_the_point_loop_raises():
         # does point by point: bessel- at omega = 10 overflows at X = 700
         with pytest.raises(RangeError, match="X = 700.0: .* overflows a double"):
             basis_G1(BasisBranch.BESSEL_MINUS, 10.0, np.append(head, [700.0, 701.0]))
-        # the public K and I on routes whose rows do not depend on the
-        # block (the quadrature at X <= 1.05 omega, the asymptotic series at
-        # X >= 40): each grid row is the float call, bit for bit
-        for kernel, X in ((bessel_K_imag, 0.4 * head), (bessel_I_imag, 40.0 + head)):
+        # the public K and I on the quadrature route (X <= 1.05 omega),
+        # the saddle line (X > 1.05 omega) and the asymptotic series
+        # (X >= 40): each grid row is the float call, bit for bit
+        for kernel, X in ((bessel_K_imag, 0.4 * head), (bessel_K_imag, 2.1 + head),
+                          (bessel_I_imag, 40.0 + head)):
             grid = kernel(2.0, X)
             for i, x in enumerate(X.tolist()):
                 one = kernel(2.0, x)
