@@ -184,13 +184,6 @@ def amplitudes_at(branch: BasisBranch, p: ModeParams, z) -> ModeAmplitudes:
     )
 
 
-def f3_single_kernel(amps: ModeAmplitudes, p: ModeParams) -> complex:
-    """The reduced f3 route kappa/(i omega) e^{2z} G1; must equal amps.f3."""
-    _require_kappa(p)
-    e2z = _exp_z(2.0 * amps.z)
-    return p.kappa / (1j * p.omega) * e2z * amps.G1
-
-
 def plane_wave_amplitudes(sign: int, omega: float, z: float) -> ModeAmplitudes:
     """Degenerate a = b = 0 stack: F1 = e^{+-i omega z}, F2 = +-i F1, f3 = 0."""
     if sign not in (+1, -1):
@@ -225,8 +218,7 @@ def _deriv_stack(amps: ModeAmplitudes, p: ModeParams):
     X = p.kappa * ez
     dg1 = p.omega * amps.G2
     dg2 = (X * X - p.omega * p.omega) / p.omega * amps.G1
-    dF1 = (p.b * dg1 + p.a * dg2) / p.kappa
-    dF2 = (-p.a * dg1 + p.b * dg2) / p.kappa
+    dF1, dF2 = F_from_G(dg1, dg2, p)
     e2z = ez * ez
     df3 = (e2z / p.omega) * (
         2.0 * (-1j * p.b * amps.F1 + 1j * p.a * amps.F2)

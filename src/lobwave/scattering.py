@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConditioningError, DomainError, RangeError
 from .modes import ModeParams, _exp_z, _require_kappa
 from .numerics import integrate_linear_ode2, lsq_fit_two_waves
-from .specfun import BasisBranch, basis_G1, log_gamma, recurrence_shift
+from .specfun import _BLOCK, BasisBranch, basis_G1, log_gamma, recurrence_shift
 
 __all__ = [
     "AsymptoticAmplitudes",
@@ -421,8 +421,6 @@ def near_turning_exponent(p: ModeParams) -> float:
 
 
 _CROSSING_SEARCH = 3.0
-# grid points per basis_G1 call of the crossing walk: one kernel block
-_CROSSING_BLOCK = 32
 # secant steps in a row that may leave the bracket wider than half its
 # width at the last halving before a bisection step is forced
 _CROSSING_STALL = 3
@@ -434,8 +432,9 @@ def envelope_crossing(p: ModeParams) -> float:
     The left envelope is |M_plus| + |M_minus| of the closed-form
     amplitudes; returns the largest z in [z0 - 3, z0 + 3] where
     |G1| crosses that envelope over e.  A 601-point grid is walked from
-    the right in blocks of 32 points, one grid call each, and stops at the
-    first block that holds a point with |G1| >= envelope / e, so at most
+    the right in blocks of 32 points (one kernel block, one grid call
+    each), and stops at the first block that holds a point with
+    |G1| >= envelope / e, so at most
     31 kernel values left of the crossing are evaluated.  That point and
     its right neighbour bracket the crossing, and a safeguarded secant
     on g(z) = ln(|G1| / target) refines the bracket, started from the two
@@ -469,8 +468,8 @@ def envelope_crossing(p: ModeParams) -> float:
     X = p.kappa * _exp_z(zs)
     i = -1
     right = None  # |G1| on the block walked before this one
-    for end in range(len(zs), 0, -_CROSSING_BLOCK):
-        start = max(end - _CROSSING_BLOCK, 0)
+    for end in range(len(zs), 0, -_BLOCK):
+        start = max(end - _BLOCK, 0)
         block = mag(X[start:end])
         above = np.flatnonzero(block >= target)
         if above.size:

@@ -44,12 +44,13 @@ let each block size its term count from its own largest X.
 A float X on the saddle-line, asymptotic and quadrature routes runs the
 same block code on a one-element array, so each of those routes has one
 implementation.  The reflection route takes a float as it is, and the
-ascending series keeps a scalar twin, `_i_series`: a one-X series block
-costs 76-80 us against 15-24 us for the scalar loop at X <= 5 (2-vCPU
-Xeon VM), and with the twin deleted the `residuals` benchmark workload,
-which calls the kernels one point at a time, read its median op time
-37% higher (19.2 -> 26.0 and 20.5 -> 28.2 ms in two pairs of 8-second
-runs).
+ascending series keeps a scalar twin, `_i_series`, which stops by the
+same rule: a one-X series block costs 39-47 us against 7-16 us for the
+scalar loop at X <= 5 (2.7-5.7x, orders i w and 1 + i w at w = 0.5, 2
+and 5; 2-vCPU Xeon VM), and with the twin deleted the `residuals`
+benchmark workload, which calls the kernels one point at a time, read
+its median op time 28% higher (13.06 -> 16.32 and 12.43 -> 16.44 ms in
+two pairs of 25-second runs), past the benchmark's 25% bound.
 
 All three K routes are kept callable so tests can compare them.
 """
@@ -210,27 +211,26 @@ _SERIES_SWITCH_X = 40.0
 
 
 def _i_series(nu: complex, X: float):
-    """Ascending series sum_k (X/2)^{nu+2k} / (k! Gamma(nu+k+1))."""
+    """Ascending series sum_k (X/2)^{nu+2k} / (k! Gamma(nu+k+1)), stopped
+    two terms after the first term below 1e-17 of its partial sum."""
     log_first = nu * cmath.log(0.5 * X) - log_gamma(nu + 1.0)
     if log_first.real > _LOG_DOUBLE_MAX:
         raise _overflow(X)
     term = cmath.exp(log_first)
     total = term
     q = 0.25 * X * X
-    small = 0
+    small = 0  # terms from the first small one on
     biggest = abs(term)
     for k in range(600):
         term = term * (q / ((k + 1.0) * (nu + k + 1.0)))
         total += term
         biggest = max(biggest, abs(term))
-        if abs(term) < 1e-17 * abs(total):
+        if small or abs(term) < 1e-17 * abs(total):
             small += 1
-            if small >= 3:
+            if small == 3:
                 # rounding carries the largest intermediate term, which can
                 # dwarf the sum when the phases rotate (imaginary order)
                 return total, abs(term) + 1e-16 * biggest
-        else:
-            small = 0
     raise AccuracyError(f"I series failed to converge (nu={nu}, X={X})")
 
 
@@ -238,33 +238,30 @@ def _i_series_grid(nu: complex, X: np.ndarray):
     """`_i_series` on a block of X: one (X x term) array of terms.
 
     Term k + 1 is the cumulative product of the ratios q/((k+1)(nu+k+1)),
-    and each X's row stops where `_i_series` stops, at its third small
-    term in a row.  The term count is sized from the block's largest X
-    (the stop comes by X/2 + 4.5 sqrt(X) + 8) and doubled if it falls short.
+    and each X's row stops where `_i_series` stops, two terms after its
+    first small term.  The term count is sized from the block's largest X
+    (the stop comes by X/2 + 4.5 sqrt(X) + 8).
     """
     q = 0.25 * X * X
     log_first = nu * np.log(0.5 * X) - log_gamma(nu + 1.0)
     if log_first.real.max() > _LOG_DOUBLE_MAX:
         raise _overflow(float(X[np.argmax(log_first.real > _LOG_DOUBLE_MAX)]))
-    first = np.exp(log_first)
     n = int(0.5 * X.max() + 5.0 * math.sqrt(X.max())) + 12
-    while True:
-        k = np.arange(n)
-        ratio = q[:, None] / ((k + 1.0) * (nu + k + 1.0))
-        terms = np.cumprod(np.concatenate((first[:, None], ratio), axis=1), axis=1)
-        totals = np.cumsum(terms, axis=1)
-        size = np.abs(terms)
-        small = size[:, 1:] < 1e-17 * np.abs(totals[:, 1:])
-        third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-        stopped = third.any(axis=1)
-        if stopped.all():
-            break
-        if n >= 600:
-            bad = float(X[np.argmin(stopped)])
-            raise AccuracyError(f"I series failed to converge (nu={nu}, X={bad})")
-        n = min(2 * n, 600)
-    # third[:, i] covers terms i + 1 .. i + 3
-    stop = np.argmax(third, axis=1) + 3
+    k = np.arange(n)
+    terms = np.empty((X.size, n + 1), dtype=complex)
+    terms[:, 0] = np.exp(log_first)
+    np.divide(q[:, None], (k + 1.0) * (nu + k + 1.0), out=terms[:, 1:])
+    np.cumprod(terms, axis=1, out=terms)
+    totals = np.cumsum(terms, axis=1)
+    size = np.abs(terms)
+    # the first term is its own sum, so it is never small
+    small = size < 1e-17 * np.abs(totals)
+    # a row stops within the array if a small term leaves two after it
+    reached = small[:, :-2].any(axis=1)
+    if not reached.all():
+        bad = float(X[np.argmin(reached)])
+        raise AccuracyError(f"I series failed to converge (nu={nu}, X={bad})")
+    stop = np.argmax(small, axis=1) + 2
     rows = np.arange(X.size)
     # the largest term comes before the stop: past their peak the terms
     # only shrink

@@ -16,7 +16,6 @@ from lobwave.modes import (
     amplitudes_at,
     assemble_field,
     eval_G,
-    f3_single_kernel,
     F_from_G,
     heun_form_residual,
     maxwell_residual_firstorder,
@@ -103,10 +102,12 @@ def test_eval_G_grid_matches_points(monkeypatch):
 
 
 def test_f3_two_routes_agree():
+    p = P_DEFAULT
     for br in BasisBranch:
         for z in (-4.0, -1.0, 0.5, 1.5):
-            amps = amplitudes_at(br, P_DEFAULT, z)
-            alt = f3_single_kernel(amps, P_DEFAULT)
+            amps = amplitudes_at(br, p, z)
+            # the single-kernel form kappa / (i omega) e^{2z} G1
+            alt = p.kappa / (1j * p.omega) * math.exp(2.0 * z) * amps.G1
             assert abs(amps.f3 - alt) <= 1e-12 * max(abs(amps.f3), abs(alt))
 
 

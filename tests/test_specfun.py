@@ -523,10 +523,12 @@ def test_profile_kernels_against_mpmath():
     assert worst[0] <= 1e-10, f"deviation {worst[0]:.2e} at {worst[1]}"
 
 
-@pytest.mark.parametrize("scalar, grid, domain", [
-    (_i_series, _i_series_grid, lambda w: (1e-3, min(max(40.0, w * w), 700.0))),
-], ids=["series"])
-def test_block_routes_match_scalar_routes(scalar, grid, domain):
+def _series_top(w):
+    """The largest X the ascending series serves at omega = w."""
+    return min(max(specfun._SERIES_SWITCH_X, w * w), 700.0)
+
+
+def test_block_routes_match_scalar_routes():
     # the block series on seeded 32-X blocks of its regime, against the
     # scalar series point by point.  The estimates agree to rounding, so
     # every X stops where the scalar loop stops.  The values differ
@@ -534,16 +536,75 @@ def test_block_routes_match_scalar_routes(scalar, grid, domain):
     # and the rounding differences reach about 1e-13 of it
     rng = np.random.default_rng(6)
     for w in (0.05, 0.5, 2.0, 8.0, 20.0, 26.0, 50.0):
-        lo, hi = domain(w)
-        if lo >= hi:
-            continue
-        X = np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), 32)))
+        X = np.sort(np.exp(rng.uniform(math.log(1e-3), math.log(_series_top(w)), 32)))
         for nu in (1j * w, -1j * w, complex(1.0, w), complex(-1.0, w)):
-            value, err = grid(nu, X)
+            value, err = _i_series_grid(nu, X)
             for i, x in enumerate(X.tolist()):
-                v, e = scalar(nu, x)
+                v, e = _i_series(nu, x)
                 assert err[i] == pytest.approx(e, rel=1e-12), (nu, x)
                 assert abs(value[i] - v) <= 1e-13 * abs(v) + 1e3 * e, (nu, x)
+
+
+def _i_series_third_in_a_row(nu, X):
+    """The block series by its earlier two-pass rule: stop at the third
+    small term in a row, doubling the term count until every row has one."""
+    q = 0.25 * X * X
+    first = np.exp(nu * np.log(0.5 * X) - log_gamma(nu + 1.0))
+    n = int(0.5 * X.max() + 5.0 * math.sqrt(X.max())) + 12
+    while True:
+        k = np.arange(n)
+        ratio = q[:, None] / ((k + 1.0) * (nu + k + 1.0))
+        terms = np.cumprod(np.concatenate((first[:, None], ratio), axis=1), axis=1)
+        totals = np.cumsum(terms, axis=1)
+        size = np.abs(terms)
+        small = size[:, 1:] < 1e-17 * np.abs(totals[:, 1:])
+        third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+        if third.any(axis=1).all():
+            break
+        n *= 2
+    # third[:, i] covers terms i + 1 .. i + 3
+    stop = np.argmax(third, axis=1) + 3
+    rows = np.arange(X.size)
+    return totals[rows, stop], size[rows, stop] + 1e-16 * size.max(axis=1)
+
+
+def _i_series_with_reset(nu, X):
+    """The scalar series by its earlier rule: a term that is not small
+    resets the count of small terms in a row."""
+    term = cmath.exp(nu * cmath.log(0.5 * X) - log_gamma(nu + 1.0))
+    total, biggest, small = term, abs(term), 0
+    for k in range(600):
+        term = term * (0.25 * X * X / ((k + 1.0) * (nu + k + 1.0)))
+        total += term
+        biggest = max(biggest, abs(term))
+        small = small + 1 if abs(term) < 1e-17 * abs(total) else 0
+        if small == 3:
+            return total, abs(term) + 1e-16 * biggest
+    raise AssertionError((nu, X))
+
+
+def test_i_series_stop_rule_is_the_third_small_term_in_a_row():
+    # past their peak the terms only shrink, so a row's small terms run
+    # unbroken from the first one, and stopping two terms after it is
+    # stopping at the third in a row: same value and estimate, bit for bit
+    rng = np.random.default_rng(19)
+    blocks = []
+    for w in np.exp(rng.uniform(math.log(0.05), math.log(50.0), 60)):
+        X = np.exp(rng.uniform(math.log(1e-3), math.log(_series_top(w)),
+                               rng.integers(1, 33)))
+        blocks.append((w, X))
+    for w in (0.05, 50.0):
+        edges = np.array([1e-3, _series_top(w), 700.0])
+        blocks += [(w, edges[:1]), (w, edges[2:]), (w, edges),
+                   (w, np.geomspace(1e-3, 700.0, 32))]
+    for w, X in blocks:
+        for nu in (1j * w, -1j * w, complex(1.0, w), complex(-1.0, w)):
+            value, err = _i_series_grid(nu, X)
+            ref_value, ref_err = _i_series_third_in_a_row(nu, X)
+            assert np.array_equal(value, ref_value), (nu, X)
+            assert np.array_equal(err, ref_err), (nu, X)
+            for x in X.tolist():
+                assert _i_series(nu, x) == _i_series_with_reset(nu, x), (nu, x)
 
 
 def test_grid_raises_what_the_point_loop_raises():
