@@ -19,12 +19,13 @@ affect, so it gives the same bits alone or in a batch, and tests pin the
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, ConditioningError, DomainError
+from .errors import AccuracyError, ConditioningError, DomainError, RangeError
 
 
 @dataclass
@@ -136,12 +137,18 @@ def integrate_linear_ode2(coeff, omega2, span, init, outputs):
     """Integrate u'' = (coeff(z) - omega2) u with the DOP853 pair.
 
     `span` is (z_start, z_end) in either direction; `init` is (u, u') at
-    z_start; `outputs` is a list of z values (ordered along the
-    integration direction) at which (u, u') is recorded; steps are clipped
-    to land on each.  The state is complex; error control is per step and
-    per component, on u and on u'/scale, with DOP853's combined 5th/3rd-
-    order estimate and step exponent 1/8, at a relative tolerance of 1e-11
-    and no absolute floor.  Raises AccuracyError past 2,000,000 steps.
+    z_start; `outputs` is a list of z values, monotone along the
+    integration direction (equal neighbours allowed), at which (u, u') is
+    recorded; steps are clipped to land on each.  A seed with both
+    imaginary parts 0 runs in float arithmetic and records floats; any
+    other seed runs and records complex.  Both runs take the same steps:
+    complex arithmetic on a zero imaginary part gives the float result in
+    the real part.  Error control is per step and per component, on u and
+    on u'/scale, with DOP853's combined 5th/3rd-order estimate and step
+    exponent 1/8, at a relative tolerance of 1e-11 and no absolute floor.
+    Raises DomainError on a non-finite seed or on outputs out of order,
+    RangeError where a recorded (u, u') is not finite, and AccuracyError
+    past 2,000,000 steps.
     """
     z0, z1 = float(span[0]), float(span[1])
     if not (math.isfinite(z0) and math.isfinite(z1)) or z0 == z1:
@@ -151,10 +158,16 @@ def integrate_linear_ode2(coeff, omega2, span, init, outputs):
     for zo in outputs:
         if (zo - z0) * direction < -1e-12 or (z1 - zo) * direction < -1e-12:
             raise DomainError(f"output point {zo} outside span")
+    for za, zb in zip(outputs, outputs[1:]):
+        if (zb - za) * direction < 0.0:
+            raise DomainError(f"output points {za}, {zb} out of order")
 
     result = IntegrationResult()
-    u = complex(init[0])
-    v = complex(init[1])
+    u, v = complex(init[0]), complex(init[1])
+    if not (cmath.isfinite(u) and cmath.isfinite(v)):
+        raise DomainError(f"non-finite seed ({u}, {v})")
+    if u.imag == 0.0 and v.imag == 0.0:
+        u, v = u.real, v.real
     z = z0
     # q = coeff(z) - omega2 at the current point, carried from stage 12 of
     # the last accepted step
@@ -170,6 +183,11 @@ def integrate_linear_ode2(coeff, omega2, span, init, outputs):
             raise AccuracyError("integrate_linear_ode2: step budget exhausted")
         target = outputs[out_idx]
         if (target - z) * direction <= 1e-14 * max(1.0, abs(z)):
+            # a NaN or infinite state never turns finite again, and the
+            # error norm reads it as a zero error: check it here only
+            if not (cmath.isfinite(u) and cmath.isfinite(v)):
+                raise RangeError(f"integrate_linear_ode2: state ({u}, {v}) "
+                                 f"not finite at z = {z}")
             result.z.append(target)
             result.u.append(u)
             result.du.append(v)

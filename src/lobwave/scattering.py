@@ -365,8 +365,8 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
     if variant == "decaying":
         X = _decaying_seed_X(p.omega)
         z_seed = math.log(X / p.kappa)
-        u = 1.0 + 0.0j
-        v = complex(_decaying_log_derivative(p.omega, X))
+        u = 1.0
+        v = _decaying_log_derivative(p.omega, X)
     elif variant == "growing":
         z_seed = math.log(p.omega / p.kappa) + _SEED_OFFSET_GROWING
         X = p.kappa * math.exp(z_seed)
@@ -375,8 +375,10 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
     else:
         raise DomainError(f"unknown oracle variant {variant!r}")
 
+    k2 = p.kappa * p.kappa
+
     def U(z):
-        return p.kappa * p.kappa * math.exp(2.0 * z)
+        return k2 * math.exp(2.0 * z)
 
     window = _fit_window(p)
     zs = np.linspace(window[1], window[0], _FIT_SAMPLES)

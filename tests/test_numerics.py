@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobwave import numerics as nm
-from lobwave.errors import AccuracyError, ConditioningError, DomainError
+from lobwave.errors import AccuracyError, ConditioningError, DomainError, RangeError
 from lobwave.numerics import integrate_linear_ode2, lsq_fit_two_waves, quad_adaptive
 
 # golden values computed once with an independent high-precision library
@@ -75,6 +75,46 @@ def test_zero_state_with_zero_abs_tol_stays_zero():
 def test_output_outside_span_rejected():
     with pytest.raises(DomainError):
         integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 1.0), (1.0, 0.0), [2.0])
+
+
+def test_real_seed_records_floats_complex_seed_records_complex():
+    outs = [1.0, 2.0]
+    for seed in ((1.0, 0.0), (1 + 0j, 0j), (np.float64(1.0), 0)):
+        res = integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 2.0), seed, outs)
+        assert all(type(x) is float for x in res.u + res.du), seed
+    res = integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 2.0), (1.0, 1e-300j), outs)
+    assert all(type(x) is complex for x in res.u + res.du)
+
+
+@pytest.mark.parametrize("i", [1, 1j])
+def test_outputs_out_of_order_rejected(i):
+    # outputs out of order would record u(2) at z = 1; equal neighbours
+    # are fine
+    with pytest.raises(DomainError, match="out of order"):
+        integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 3.0), (i, 0.0), [2.0, 1.0])
+    with pytest.raises(DomainError, match="out of order"):
+        integrate_linear_ode2(lambda z: 0.0, 1.0, (3.0, 0.0), (i, 0.0), [1.0, 2.0])
+    res = integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 3.0), (i, 0.0),
+                                [1.0, 1.0, 2.0])
+    assert res.u[0] == res.u[1]
+    assert abs(res.u[2] - i * math.cos(2.0)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [(math.nan, 0.0), (1.0, -math.inf),
+                                  (1j, complex(0.0, math.nan)),
+                                  (complex(math.inf, 1.0), 1j)])
+def test_non_finite_seed_rejected(seed):
+    with pytest.raises(DomainError, match="non-finite seed"):
+        integrate_linear_ode2(lambda z: 0.0, 1.0, (0.0, 1.0), seed, [1.0])
+
+
+@pytest.mark.parametrize("i", [1, 1j])
+def test_overflowing_state_raises_range_error(i):
+    # the state overflows to inf and then NaN, which the error norm reads
+    # as a zero error, so without the check NaN comes back after 3806 steps
+    with pytest.raises(RangeError, match="not finite"):
+        integrate_linear_ode2(lambda z: 1e4 * math.exp(2.0 * z), 0.0, (0.0, 6.0),
+                              (i, i), [6.0])
 
 
 # the integrands of the next three tests decay at least like e^{-t}: past

@@ -205,6 +205,45 @@ def test_numeric_oracle_decaying_step_count(monkeypatch):
         assert steps[0] <= budget, (w, steps[0])
 
 
+def test_numeric_oracle_golden_bits():
+    # repr(R) pinned with ==: the decaying runs are float runs and the
+    # growing run a complex one
+    for (w, a, b), r in (((1.3, 0.7, 0.2), "1.0000000000000016"),
+                         ((1.3, 1.0, 0.0), "1.0000000000000007"),
+                         ((2.0, 1.0, 0.0), "1.0"),
+                         ((20.0, 1.0, 0.0), "1.0000000000000004")):
+        assert repr(reflection_numeric_oracle(ModeParams(w, a, b))) == r, w
+    assert repr(reflection_numeric_oracle(ModeParams(0.5, 1.0, 0.0),
+                                          variant="growing")) == "535.49165167362"
+
+
+def test_imaginary_seed_takes_the_float_runs_steps(monkeypatch):
+    # a seed i (u0, v0) runs complex; its imaginary parts are the float
+    # run's values bit for bit, and it takes the same steps
+    runs = []
+
+    def recording(*args):
+        runs.append(args)
+        return integrate_linear_ode2(*args)
+
+    monkeypatch.setattr(scattering, "integrate_linear_ode2", recording)
+    for w, k in ((0.3, 0.5), (2.0, 1.0), (7.0, 3.0), (20.0, 1.0)):
+        reflection_numeric_oracle(ModeParams(w, k, 0.0))
+    # and one rightward run through the turning point at z = ln 2
+    runs.append((lambda z: math.exp(2.0 * z), 4.0, (-6.0, 3.0), (1.0, 0.5),
+                 np.linspace(-6.0, 3.0, 25).tolist()))
+    assert len(runs) == 5
+    for coeff, omega2, span, (u0, v0), outs in runs:
+        real = integrate_linear_ode2(coeff, omega2, span, (u0, v0), outs)
+        imag = integrate_linear_ode2(coeff, omega2, span, (1j * u0, 1j * v0), outs)
+        assert all(type(x) is float for x in real.u + real.du)
+        assert [x.imag for x in imag.u] == real.u
+        assert [x.imag for x in imag.du] == real.du
+        assert all(x.real == 0.0 for x in imag.u + imag.du)
+        assert (imag.n_accepted, imag.n_rejected) == (real.n_accepted,
+                                                      real.n_rejected)
+
+
 def test_numeric_oracle_growing():
     for w in (0.25, 0.5):
         r = reflection_numeric_oracle(ModeParams(w, 1.0, 0.0),
