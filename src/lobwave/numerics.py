@@ -1,12 +1,15 @@
 """Self-contained numerical services.
 
 Nothing here knows about Bessel functions or Maxwell modes: the 8th-order
-DOP853 Runge-Kutta pair for the second-order mode equation, an adaptive
-Gauss-Kronrod 7/15 quadrature, and a two-wave linear least-squares fit.
-The integrator and the fit are independent oracles for the closed-form
-code paths, and that independence is what makes the cross-validation
-meaningful.  The quadrature is not: `specfun` imports `quad_adaptive` as
-its K_{i omega} route for omega <= 3 and 0.1 < X <= 1.05 omega.
+DOP853 Runge-Kutta pair for the second-order mode equation, first-order
+Magnus steps that carry its solutions across the region far left of the
+barrier, where the moments of U = kappa^2 e^{2z} have closed forms, an
+adaptive Gauss-Kronrod 7/15 quadrature, and a two-wave linear
+least-squares fit.  The integrators and the fit are independent oracles
+for the closed-form code paths, and that independence is what makes the
+cross-validation meaningful.  The quadrature is not: `specfun` imports
+`quad_adaptive` as its K_{i omega} route for omega <= 3 and
+0.1 < X <= 1.05 omega.
 
 `quad_adaptive` is on that route's hot path, and it runs in rounds over
 many integrals at once, one per X of a kernel block: a round splits the
@@ -285,6 +288,106 @@ def integrate_linear_ode2(coeff, omega2, span, init, outputs):
         if abs(h) < 1e-14 * max(1.0, abs(z)):
             raise AccuracyError("integrate_linear_ode2: step underflow")
     return result
+
+
+# largest U/omega^2 at z_start for which magnus_plane_waves's error bound holds
+_MAGNUS_U_MAX = 2e-7
+
+
+def magnus_plane_waves(kappa2, omega, z_start, init, outputs):
+    """Carry (u, u') of u'' = (kappa2 e^{2z} - omega^2) u leftward from
+    z_start, where the barrier U = kappa2 e^{2z} is negligible, by one
+    first-order Magnus step on the plane-wave amplitudes per output.
+
+    `init` is (u, u') at z_start; `outputs` are the z values at which
+    (u, u') is recorded, each at or left of the one before and the first
+    at or left of z_start.  Returns an IntegrationResult whose n_accepted
+    is the number of steps, one per output.
+
+    Method.  With w = omega and t = z - z_start, write
+    u = A e^{iwt} + B e^{-iwt} and u' = iw (A e^{iwt} - B e^{-iwt}).  Then
+    d(A, B)/dt = N(t) (A, B), N(t) = (U(t)/2iw) M(t) and
+    M(t) = [[1, e^{-2iwt}], [-e^{2iwt}, -1]].  The step from t_a to t_b
+    multiplies (A, B) by exp(Omega), Omega = int N = (1/2iw) [[I0, I-],
+    [-I+, -I0]], whose moments of U = kappa2 e^{2z} are closed forms:
+    I0 = (U_b - U_a)/2, I+ = (U_b e^{2iwt_b} - U_a e^{2iwt_a})/(2 + 2iw) and
+    I- = conj(I+).  Omega is traceless, so exp(Omega) = cosh(mu) 1 +
+    (sinh(mu)/mu) Omega with mu^2 = Omega_11^2 + Omega_12 Omega_21
+    = (|I+|^2 - I0^2)/(4w^2), real and <= 0 since |I+| <= |I0|.  As
+    |mu| <= |Omega| <= U_a h/w for a step of length h, below 1e-6 when
+    U_a <= 2e-7 w^2 and w h <= 5, the series to mu^4 is exact in doubles.
+    Omega_22 = conj(Omega_11) and Omega_21 = conj(Omega_12), so a real
+    seed, which has B = conj(A), keeps it: the run carries A alone, sets
+    B = conj(A) exactly, and records Python floats u = 2 Re(A e^{iwt}), as
+    integrate_linear_ode2 does for a real seed.  The equation is real, so
+    any other seed runs as two real seeds, its real and imaginary parts,
+    and records complex.
+
+    Error bound.  The step drops the Magnus series from its second term
+    on, Omega_2 = (1/2) int_a^b dt1 int_a^t1 dt2 [N(t1), N(t2)].  With
+    x = w (t1 - t2), [M(t1), M(t2)] = [[2i sin 2x, conj c], [c, -2i sin 2x]]
+    with |c| = 4 |sin x|, whose 2-norm is 2|sin 2x| + 4|sin x| <= 8w|t1 - t2|.
+    So |Omega_2| <= (1/2) (U_a^2/4w^2) 8w h^3/6 = U_a^2 h^3/(6w), relative
+    to |(A, B)|; with r = U_a/w^2 that is r^2 (w h)^3/6, and each further
+    Magnus term is smaller by another factor of order r w h.  At the
+    oracle's fit window, r <= e^{-16} and w h <= 0.64, the first step's
+    bound is 5.5e-16 and U falls by e^{-2h} per step after it.  Raises
+    DomainError where U/w^2 > 2e-7 at z_start (bound 1.8e-15 per step at
+    w h = 0.64), on w <= 0, kappa2 < 0, a non-finite seed, and outputs
+    that do not move leftward from z_start.
+    """
+    w, k2, z0 = float(omega), float(kappa2), float(z_start)
+    if not (0.0 < w < math.inf and 0.0 <= k2 < math.inf and math.isfinite(z0)):
+        raise DomainError(f"magnus_plane_waves: need omega > 0, kappa2 >= 0 "
+                          f"and z_start finite, not {w}, {k2}, {z0}")
+    # in logs: e^{2 z_start} alone may overflow where U(z_start) does not
+    log_u0 = 2.0 * z0 + math.log(k2) if k2 > 0.0 else -math.inf
+    if log_u0 > math.log(_MAGNUS_U_MAX * w * w):
+        raise DomainError(f"magnus_plane_waves: U/omega^2 above {_MAGNUS_U_MAX} "
+                          f"at z_start = {z0}")
+    # grid point 0 is z_start, and t = z - z_start
+    grid = np.concatenate(([z0], np.array(outputs, dtype=float, ndmin=1)))
+    if not (np.isfinite(grid).all() and (grid[1:] <= grid[:-1]).all()):
+        raise DomainError("magnus_plane_waves: outputs must move leftward "
+                          "from z_start")
+    u, v = complex(init[0]), complex(init[1])
+    if not (cmath.isfinite(u) and cmath.isfinite(v)):
+        raise DomainError(f"magnus_plane_waves: non-finite seed ({u}, {v})")
+    real = u.imag == 0.0 and v.imag == 0.0
+
+    # the moments of every step in one pass
+    t = grid - z0
+    U = math.exp(log_u0) * np.exp(2.0 * t)
+    phase = np.exp(1j * w * t)
+    UE = U * (phase * phase)
+    i0 = 0.5 * (U[1:] - U[:-1])
+    i_plus = (UE[1:] - UE[:-1]) / (2.0 + 2.0j * w)
+    # Omega = [[p, q], [conj q, conj p]]; d = cosh(mu) - 1 + s p, with
+    # s = sinh(mu)/mu, so that A + d A adds only what the step changes
+    p = -0.5j / w * i0
+    q = -0.5j / w * np.conj(i_plus)
+    mu2 = (np.abs(i_plus) ** 2 - i0 * i0) / (4.0 * w * w)
+    s = 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0
+    d = ((mu2 / 2.0 + mu2 * mu2 / 24.0) + s * p).tolist()
+    sq = (s * q).tolist()
+
+    def waves(u, v):
+        """A e^{iwt} at each output, for the real seed (u, v)."""
+        a = complex(0.5 * u, -0.5 * v / w)
+        amps = []
+        for dk, sqk in zip(d, sq):
+            a = a + (dk * a + sqk * a.conjugate())
+            amps.append(a)
+        return np.array(amps, dtype=complex) * phase[1:]
+
+    # the equation is real, so a complex seed runs as two real seeds
+    wave = waves(u.real, v.real)
+    us, dus = 2.0 * wave.real, -2.0 * w * wave.imag
+    if not real:
+        wave = waves(u.imag, v.imag)
+        us, dus = us + 2j * wave.real, dus - 2j * w * wave.imag
+    return IntegrationResult(z=grid[1:].tolist(), u=us.tolist(), du=dus.tolist(),
+                             n_accepted=len(d))
 
 
 # Gauss 7 / Kronrod 15 rule on [-1, 1] (QUADPACK's qk15): the 15 nodes in

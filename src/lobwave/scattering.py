@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError, RangeError
 from .modes import ModeParams, _exp_z, _require_kappa
-from .numerics import integrate_linear_ode2, lsq_fit_two_waves
+from .numerics import integrate_linear_ode2, lsq_fit_two_waves, magnus_plane_waves
 from .specfun import _BLOCK, BasisBranch, basis_G1, log_gamma, recurrence_shift
 
 __all__ = [
@@ -343,6 +343,18 @@ def _decaying_seed_X(omega: float) -> float:
 def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float:
     """R from a from-scratch integration of G'' + (omega^2 - U) G = 0.
 
+    One DOP853 run (integrate_linear_ode2) carries (G, G') leftward from
+    the seed to the right edge of the fit window, at least 8 radii left of
+    the turning point, where U/omega^2 <= e^{-16}.  From there
+    magnus_plane_waves carries it across the window to the 64 samples by
+    closed-form Magnus steps on the plane-wave amplitudes (from an exact
+    edge state they are within 1e-14 of mpmath, and DOP853 through the
+    window within 2.3e-12, at omega <= 20), and the plane-wave fit reads R
+    off the samples.  The oracle stays independent of the closed forms:
+    it uses only U and omega, the Magnus moments are integrals of the
+    ODE's coefficient U = kappa^2 e^{2z} and not Bessel series, and
+    nothing comes from `specfun` except the growing variant's seed.
+
     variant "decaying": seed inside the barrier with the decaying profile
     (unit value, log-derivative from the large-argument series) at the
     smallest depth where the barrier damps any growing admixture that
@@ -358,8 +370,12 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
     integration re-amplifies to order e^{omega pi}); gives R = e^{4 omega pi}.
     The leftward run still loses the recessive component as omega grows
     (relative error 2e-6 at omega = 0.8, 7e-4 at omega = 1).
+
+    Raises RangeError where kappa^2 or (omega/kappa)^2 is past the double
+    range (see turning_point) and DomainError past omega = 20.
     """
-    _require_kappa(p)
+    # kappa^2 and (omega/kappa)^2 must be doubles: RangeError otherwise
+    turning_point(p)
     if p.omega > 20.0:
         raise DomainError("oracle supports omega <= 20")
     if variant == "decaying":
@@ -381,9 +397,11 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
         return k2 * math.exp(2.0 * z)
 
     window = _fit_window(p)
+    edge = integrate_linear_ode2(U, p.omega * p.omega, (z_seed, window[1]),
+                                 (u, v), [window[1]])
     zs = np.linspace(window[1], window[0], _FIT_SAMPLES)
-    res = integrate_linear_ode2(U, p.omega * p.omega, (z_seed, window[0]),
-                                (u, v), list(zs))
+    res = magnus_plane_waves(k2, p.omega, window[1], (edge.u[0], edge.du[0]),
+                             zs)
     amps = amplitudes_fit(res.z, res.u, p.omega)
     return abs(amps.Mminus) ** 2 / abs(amps.Mplus) ** 2
 

@@ -117,6 +117,55 @@ def test_overflowing_state_raises_range_error(i):
                               (i, i), [6.0])
 
 
+def test_magnus_plane_waves_without_barrier_are_exact():
+    # kappa2 = 0: every step is the identity on (A, B), so the samples are
+    # the plane waves themselves
+    w, z0 = 3.7, -2.0
+    outs = np.linspace(z0, z0 - 6.0, 50).tolist()
+    res = nm.magnus_plane_waves(0.0, w, z0, (1.0, 0.0), outs)
+    assert res.z == outs and res.n_accepted == 50
+    for z, u, du in zip(res.z, res.u, res.du):
+        assert abs(u - math.cos(w * (z - z0))) <= 1e-15
+        assert abs(du + w * math.sin(w * (z - z0))) <= 1e-15 * w
+    res = nm.magnus_plane_waves(0.0, w, z0, (1.0, 1j * w), outs)
+    for z, u in zip(res.z, res.u):
+        assert abs(u - cmath.exp(1j * w * (z - z0))) <= 1e-15
+
+
+def test_magnus_plane_waves_real_seed_records_floats():
+    outs = [-8.0, -9.0]
+    for seed in ((1.0, 0.5), (1 + 0j, 0.5 + 0j), (np.float64(1.0), 0)):
+        res = nm.magnus_plane_waves(1.0, 2.0, -8.0, seed, outs)
+        assert all(type(x) is float for x in res.u + res.du), seed
+    res = nm.magnus_plane_waves(1.0, 2.0, -8.0, (1.0, 1e-300j), outs)
+    assert all(type(x) is complex for x in res.u + res.du)
+    # a complex seed runs as two real seeds: its real and imaginary parts
+    # are the float runs of the seed's parts, bit for bit
+    real = nm.magnus_plane_waves(1.0, 2.0, -8.0, (1.0, 0.5), outs)
+    imag = nm.magnus_plane_waves(1.0, 2.0, -8.0, (-0.25, 3.0), outs)
+    cplx = nm.magnus_plane_waves(1.0, 2.0, -8.0, (1.0 - 0.25j, 0.5 + 3j), outs)
+    assert [y.real for y in cplx.u + cplx.du] == real.u + real.du
+    assert [y.imag for y in cplx.u + cplx.du] == imag.u + imag.du
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1.0, 2.0, -8.0, (math.nan, 0.0), [-9.0]), "non-finite seed"),
+    ((1.0, 2.0, -8.0, (1.0, complex(0.0, math.inf)), [-9.0]), "non-finite seed"),
+    ((1.0, 2.0, -8.0, (1.0, 0.0), [-7.0]), "leftward"),
+    ((1.0, 2.0, -8.0, (1.0, 0.0), [-9.0, -8.5]), "leftward"),
+    ((1.0, 2.0, -8.0, (1.0, 0.0), [-9.0, math.nan]), "leftward"),
+    ((1.0, 2.0, -8.0, (1.0, 0.0), [-math.inf]), "leftward"),
+    # U/omega^2 = e^{-14} > 2e-7 at z_start, and the same past e^z's range
+    ((4.0, 2.0, -7.0, (1.0, 0.0), [-9.0]), "above"),
+    ((1e-300, 2.0, 400.0, (1.0, 0.0), [300.0]), "above"),
+    ((1.0, 0.0, -8.0, (1.0, 0.0), [-9.0]), "omega > 0"),
+    ((-1.0, 2.0, -8.0, (1.0, 0.0), [-9.0]), "omega > 0"),
+])
+def test_magnus_plane_waves_guards(args, match):
+    with pytest.raises(DomainError, match=match):
+        nm.magnus_plane_waves(*args)
+
+
 # the integrands of the next three tests decay at least like e^{-t}: past
 # t = 40 their tails are below 1e-17
 def test_quad_exponential_tail():

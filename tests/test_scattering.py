@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from lobwave import scattering
 from lobwave.errors import ConditioningError, DomainError, RangeError
 from lobwave.modes import ModeParams
-from lobwave.numerics import integrate_linear_ode2
+from lobwave.numerics import integrate_linear_ode2, magnus_plane_waves
 from lobwave.scattering import (
     amplitudes_analytic,
     amplitudes_fit,
@@ -196,9 +197,10 @@ def test_numeric_oracle_decaying_step_count(monkeypatch):
         return res
 
     monkeypatch.setattr(scattering, "integrate_linear_ode2", counting)
-    # one integration per call; the DOP853 pair takes 327 and 1422 steps
-    # here, where Dormand-Prince 5(4) took 3360 and 17452
-    for w, budget in ((2.0, 500), (20.0, 2000)):
+    # one DOP853 integration per call, from the seed to the fit window's
+    # right edge: 201 and 1165 steps here, where the run through the window
+    # took 327 and 1422 and Dormand-Prince 5(4) took 3360 and 17452
+    for w, budget in ((2.0, 250), (20.0, 1300)):
         steps.clear()
         reflection_numeric_oracle(ModeParams(w, 1.0, 0.0))
         assert len(steps) == 1
@@ -208,13 +210,84 @@ def test_numeric_oracle_decaying_step_count(monkeypatch):
 def test_numeric_oracle_golden_bits():
     # repr(R) pinned with ==: the decaying runs are float runs and the
     # growing run a complex one
-    for (w, a, b), r in (((1.3, 0.7, 0.2), "1.0000000000000016"),
-                         ((1.3, 1.0, 0.0), "1.0000000000000007"),
-                         ((2.0, 1.0, 0.0), "1.0"),
+    for (w, a, b), r in (((1.3, 0.7, 0.2), "1.0000000000000007"),
+                         ((1.3, 1.0, 0.0), "1.0000000000000013"),
+                         ((2.0, 1.0, 0.0), "1.000000000000001"),
                          ((20.0, 1.0, 0.0), "1.0000000000000004")):
         assert repr(reflection_numeric_oracle(ModeParams(w, a, b))) == r, w
     assert repr(reflection_numeric_oracle(ModeParams(0.5, 1.0, 0.0),
-                                          variant="growing")) == "535.49165167362"
+                                          variant="growing")) == "535.4916516733356"
+
+
+def _oracle_window_runs(monkeypatch, cells):
+    """The arguments of the magnus_plane_waves call the oracle makes on
+    each of `cells` of (omega, kappa, variant)."""
+    runs = []
+
+    def recording(*args):
+        runs.append(args)
+        return magnus_plane_waves(*args)
+
+    monkeypatch.setattr(scattering, "magnus_plane_waves", recording)
+    for w, k, variant in cells:
+        reflection_numeric_oracle(ModeParams(w, k, 0.0), variant)
+    assert len(runs) == len(cells)
+    return runs
+
+
+def _dop853_window(k2, omega, z_start, init, outputs):
+    return integrate_linear_ode2(lambda z: k2 * math.exp(2.0 * z), omega * omega,
+                                 (z_start, outputs[-1]), init, list(outputs))
+
+
+def test_magnus_window_agrees_with_dop853(monkeypatch):
+    # the oracle's own window runs against DOP853 through the same window.
+    # DOP853's phase error grows with the wavelengths it crosses: from an
+    # exact edge state it is up to 2.3e-12 off mpmath at omega = 20, and
+    # the Magnus steps 3.5e-15.  So the bound is 1e-12 per 4 pi of phase
+    # omega * span across the window
+    rng = np.random.default_rng(21)
+    cells = [(math.exp(rng.uniform(math.log(0.05), math.log(20.0))),
+              rng.uniform(0.1, 5.0), "decaying") for _ in range(30)]
+    cells += [(math.exp(rng.uniform(math.log(0.05), math.log(0.7))),
+               rng.uniform(0.1, 5.0), "growing") for _ in range(12)]
+    for k2, w, z_start, init, outs in _oracle_window_runs(monkeypatch, cells):
+        mag = magnus_plane_waves(k2, w, z_start, init, outs)
+        dop = _dop853_window(k2, w, z_start, init, outs)
+        assert mag.z == dop.z
+        scale = max(abs(x) for x in dop.u)
+        err = max(abs(x - y) for x, y in zip(mag.u, dop.u)) / scale
+        bound = 1e-12 * max(1.0, w * (outs[0] - outs[-1]) / (4.0 * math.pi))
+        assert err <= bound, (w, math.sqrt(k2), err)
+
+
+def test_magnus_window_against_mpmath(monkeypatch):
+    # decaying runs are c K_{i omega}(kappa e^z).  (1) From the oracle's
+    # own edge state, the Magnus samples are no worse than DOP853 through
+    # the window, with c fitted to that state; (2) from the exact edge
+    # state the Magnus samples alone are within 1e-14
+    cells = [(0.3, 1.0, "decaying"), (5.0, 3.0, "decaying"),
+             (20.0, 0.5, "decaying")]
+    for k2, w, z_start, init, outs in _oracle_window_runs(monkeypatch, cells):
+        with mpmath.workdps(40):
+            nu = 1j * w
+            x = mpmath.sqrt(k2) * mpmath.exp(z_start)
+            k0 = mpmath.besselk(nu, x)
+            g0, dg0 = float(k0.real), float((-x * mpmath.besselk(nu - 1, x) - nu * k0).real)
+            picks = list(range(0, len(outs), 9))
+            ref = [float(mpmath.besselk(nu, mpmath.sqrt(k2) * mpmath.exp(outs[i])).real)
+                   for i in picks]
+        peak = max(abs(g) for g in ref)
+
+        def err(res, c):
+            return max(abs(res.u[i] - c * g) for i, g in zip(picks, ref)) / abs(c * peak)
+
+        c = (init[0] * g0 + init[1] * dg0 / w ** 2) / (g0 * g0 + dg0 * dg0 / w ** 2)
+        mag = magnus_plane_waves(k2, w, z_start, init, outs)
+        dop = _dop853_window(k2, w, z_start, init, outs)
+        assert err(mag, c) <= err(dop, c) + 1e-13, (w, err(mag, c), err(dop, c))
+        exact = magnus_plane_waves(k2, w, z_start, (1.0, dg0 / g0), outs)
+        assert err(exact, 1.0 / g0) <= 1e-14, (w, err(exact, 1.0 / g0))
 
 
 def test_imaginary_seed_takes_the_float_runs_steps(monkeypatch):
@@ -249,7 +322,7 @@ def test_numeric_oracle_growing():
         r = reflection_numeric_oracle(ModeParams(w, 1.0, 0.0),
                                       variant="growing")
         expect = math.exp(4.0 * w * math.pi)
-        assert abs(r - expect) <= 0.01 * expect
+        assert abs(r - expect) <= 1e-6 * expect
 
 
 def test_numeric_oracle_guards():
@@ -257,6 +330,22 @@ def test_numeric_oracle_guards():
         reflection_numeric_oracle(ModeParams(25.0, 1.0, 0.0))
     with pytest.raises(DomainError):
         reflection_numeric_oracle(ModeParams(2.0, 1.0, 0.0), variant="bogus")
+
+
+@pytest.mark.parametrize("kappa, variant", [(1e-160, "decaying"),
+                                            (1e200, "decaying"),
+                                            (1e160, "growing")])
+def test_numeric_oracle_kappa_past_the_double_range(kappa, variant):
+    # kappa^2 or (omega/kappa)^2 overflows: these raised a bare
+    # OverflowError, a RangeError on a NaN state and an AccuracyError
+    with pytest.raises(RangeError, match="double range"):
+        reflection_numeric_oracle(ModeParams(2.0, kappa, 0.0), variant)
+
+
+@pytest.mark.parametrize("kappa", [1e-150, 1e150])
+def test_numeric_oracle_kappa_at_the_double_range(kappa):
+    r = reflection_numeric_oracle(ModeParams(2.0, kappa, 0.0))
+    assert abs(r - 1.0) < 1e-10, r
 
 
 def test_neumann_audit_discrepancy():
