@@ -197,8 +197,7 @@ def _ode_deviation(branch, p, span):
     zs = np.linspace(span[0], span[1], 25)
     X0 = k * math.exp(span[0])
     seed = (basis_G1(branch, w, X0).value, recurrence_shift(branch, w, X0).value)
-    res = integrate_linear_ode2(
-        lambda z: k * k * math.exp(2.0 * z), w * w, span, seed, zs.tolist())
+    res = integrate_linear_ode2(k * k, w, span[0], seed, zs.tolist())
     closed = eval_G(branch, p, zs)[0]
     return (float(np.max(np.abs(np.array(res.u) - closed)))
             / float(np.max(np.abs(closed))))

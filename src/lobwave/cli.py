@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry
 from .checks import CHECKS
-from .errors import LobwaveError
+from .errors import LobwaveError, RangeError
 from .modes import BasisBranch, ModeParams, eval_G, plane_wave_special
 from .scattering import (
     amplitudes_analytic,
@@ -192,10 +192,14 @@ def cmd_reflect(args) -> int:
 
 def cmd_depth(args) -> int:
     z0_m = penetration_depth(args.omega, args.k1, args.k2, args.rho, args.c)
+    x0 = args.omega * args.rho / args.c
+    if not math.isfinite(x0):
+        raise RangeError(f"turning |x| = omega rho / c overflows at omega = "
+                         f"{args.omega}, rho = {args.rho}")
     _emit_json({
         "z0_meters": z0_m,
         "z0_curvature_units": z0_m / args.rho,
-        "turning_x_magnitude": args.omega * args.rho / args.c,
+        "turning_x_magnitude": x0,
     }, args)
     return 0
 

@@ -1,15 +1,16 @@
 """Self-contained numerical services.
 
-Nothing here knows about Bessel functions or Maxwell modes: the 8th-order
-DOP853 Runge-Kutta pair for the second-order mode equation, first-order
-Magnus steps that carry its solutions across the region far left of the
-barrier, where the moments of U = kappa^2 e^{2z} have closed forms, an
-adaptive Gauss-Kronrod 7/15 quadrature, and a two-wave linear
-least-squares fit.  The integrators and the fit are independent oracles
-for the closed-form code paths, and that independence is what makes the
-cross-validation meaningful.  The quadrature is not: `specfun` imports
-`quad_adaptive` as its K_{i omega} route for omega <= 3 and
-0.1 < X <= 1.05 omega.
+Nothing here knows about Bessel functions or Maxwell modes.  Two
+integrators solve the mode equation u'' = (kappa^2 e^{2z} - omega^2) u,
+both given as (kappa2, omega, z_start, init, outputs) and checked by one
+guard: the 8th-order DOP853 Runge-Kutta pair, and first-order Magnus
+steps far left of the barrier, where the moments of U have closed forms.
+An adaptive Gauss-Kronrod 7/15 quadrature and a two-wave linear
+least-squares fit complete the set.  The integrators and the fit are
+independent oracles for the closed-form code paths, and that independence
+is what makes the cross-validation meaningful.  The quadrature is not:
+`specfun` imports `quad_adaptive` as its K_{i omega} route for omega <= 3
+and 0.1 < X <= 1.05 omega.
 
 `quad_adaptive` is on that route's hot path, and it runs in rounds over
 many integrals at once, one per X of a kernel block: a round splits the
@@ -136,46 +137,55 @@ _ODE_REL_TOL = 1e-11
 _ODE_MAX_STEPS = 2_000_000
 
 
-def integrate_linear_ode2(coeff, omega2, span, init, outputs):
-    """Integrate u'' = (coeff(z) - omega2) u with the DOP853 pair.
-
-    `span` is (z_start, z_end) in either direction; `init` is (u, u') at
-    z_start; `outputs` is a list of z values, monotone along the
-    integration direction (equal neighbours allowed), at which (u, u') is
-    recorded; steps are clipped to land on each.  A seed with both
-    imaginary parts 0 runs in float arithmetic and records floats; any
-    other seed runs and records complex.  Both runs take the same steps:
-    complex arithmetic on a zero imaginary part gives the float result in
-    the real part.  Error control is per step and per component, on u and
-    on u'/scale, with DOP853's combined 5th/3rd-order estimate and step
-    exponent 1/8, at a relative tolerance of 1e-11 and no absolute floor.
-    Raises DomainError on a non-finite seed or on outputs out of order,
-    RangeError where a recorded (u, u') is not finite, and AccuracyError
-    past 2,000,000 steps.
+def _ode_problem(name, kappa2, omega, z_start, init, outputs):
+    """Both integrators' input guard: DomainError, prefixed by `name`,
+    unless omega > 0, kappa2 >= 0, z_start, the seed and the outputs are
+    finite and the outputs monotone from z_start (equal neighbours
+    allowed).  Returns kappa2, omega, [z_start, *outputs], the direction
+    +-1.0 toward the last output, the seed as complex, and if it is real.
     """
-    z0, z1 = float(span[0]), float(span[1])
-    if not (math.isfinite(z0) and math.isfinite(z1)) or z0 == z1:
-        raise DomainError(f"bad integration span ({z0}, {z1})")
-    direction = 1.0 if z1 > z0 else -1.0
-    outputs = [float(zo) for zo in outputs]
-    for zo in outputs:
-        if (zo - z0) * direction < -1e-12 or (z1 - zo) * direction < -1e-12:
-            raise DomainError(f"output point {zo} outside span")
-    for za, zb in zip(outputs, outputs[1:]):
-        if (zb - za) * direction < 0.0:
-            raise DomainError(f"output points {za}, {zb} out of order")
-
-    result = IntegrationResult()
+    w, k2, z0 = float(omega), float(kappa2), float(z_start)
+    if not (0.0 < w < math.inf and 0.0 <= k2 < math.inf and math.isfinite(z0)):
+        raise DomainError(f"{name}: need omega > 0, kappa2 >= 0 "
+                          f"and z_start finite, not {w}, {k2}, {z0}")
     u, v = complex(init[0]), complex(init[1])
     if not (cmath.isfinite(u) and cmath.isfinite(v)):
-        raise DomainError(f"non-finite seed ({u}, {v})")
-    if u.imag == 0.0 and v.imag == 0.0:
+        raise DomainError(f"{name}: non-finite seed ({u}, {v})")
+    grid = np.concatenate(([z0], np.array(outputs, dtype=float, ndmin=1)))
+    direction = 1.0 if grid[-1] > z0 else -1.0
+    if not (np.isfinite(grid).all() and (direction * np.diff(grid) >= 0.0).all()):
+        raise DomainError(f"{name}: outputs not finite or out of order from z_start")
+    return k2, w, grid, direction, u, v, u.imag == 0.0 and v.imag == 0.0
+
+
+def integrate_linear_ode2(kappa2, omega, z_start, init, outputs):
+    """Integrate u'' = (kappa2 e^{2z} - omega^2) u with the DOP853 pair.
+
+    `init` is (u, u') at z_start; `outputs` is a list of z values,
+    monotone from z_start (equal neighbours allowed), at which (u, u') is
+    recorded; the run stops at the last, and steps are clipped to land on
+    each.  A seed with both imaginary parts 0 runs in float arithmetic and
+    records floats; any other seed runs and records complex.  Both runs
+    take the same steps: complex arithmetic on a zero imaginary part gives
+    the float result in the real part.  Error control is per step and per
+    component, on u and on u'/scale, with DOP853's combined 5th/3rd-order
+    estimate and step exponent 1/8, at a relative tolerance of 1e-11 and
+    no absolute floor.  Raises DomainError where _ode_problem rejects the
+    inputs, RangeError where a recorded (u, u') is not finite, and
+    AccuracyError past 2,000,000 steps.
+    """
+    k2, w, grid, direction, u, v, real = _ode_problem(
+        "integrate_linear_ode2", kappa2, omega, z_start, init, outputs)
+    if real:
         u, v = u.real, v.real
-    z = z0
-    # q = coeff(z) - omega2 at the current point, carried from stage 12 of
-    # the last accepted step
-    q = coeff(z0) - omega2
-    # velocity scale for the error norm: rates are O(sqrt(|coeff - omega2|))
+    outputs = grid[1:].tolist()
+    omega2 = w * w
+    result = IntegrationResult()
+    z = float(grid[0])
+    # q = U(z) - omega2 at the current point, carried from stage 12 of the
+    # last accepted step
+    q = k2 * math.exp(2.0 * z) - omega2
+    # velocity scale for the error norm: rates are O(sqrt(|U - omega2|))
     rate0 = math.sqrt(abs(q)) + math.sqrt(abs(omega2)) + 1e-30
     h = direction * min(0.1, 0.1 / rate0)
     out_idx = 0
@@ -202,52 +212,52 @@ def integrate_linear_ode2(coeff, omega2, span, init, outputs):
         kv1 = q * u
         u2 = u + h * (_A2_1 * v)
         v2 = v + h * (_A2_1 * kv1)
-        kv2 = (coeff(z + _C2 * h) - omega2) * u2
+        kv2 = (k2 * math.exp(2.0 * (z + _C2 * h)) - omega2) * u2
         u3 = u + h * (_A3_1 * v + _A3_2 * v2)
         v3 = v + h * (_A3_1 * kv1 + _A3_2 * kv2)
-        kv3 = (coeff(z + _C3 * h) - omega2) * u3
+        kv3 = (k2 * math.exp(2.0 * (z + _C3 * h)) - omega2) * u3
         u4 = u + h * (_A4_1 * v + _A4_3 * v3)
         v4 = v + h * (_A4_1 * kv1 + _A4_3 * kv3)
-        kv4 = (coeff(z + _C4 * h) - omega2) * u4
+        kv4 = (k2 * math.exp(2.0 * (z + _C4 * h)) - omega2) * u4
         u5 = u + h * (_A5_1 * v + _A5_3 * v3 + _A5_4 * v4)
         v5 = v + h * (_A5_1 * kv1 + _A5_3 * kv3 + _A5_4 * kv4)
-        kv5 = (coeff(z + _C5 * h) - omega2) * u5
+        kv5 = (k2 * math.exp(2.0 * (z + _C5 * h)) - omega2) * u5
         u6 = u + h * (_A6_1 * v + _A6_4 * v4 + _A6_5 * v5)
         v6 = v + h * (_A6_1 * kv1 + _A6_4 * kv4 + _A6_5 * kv5)
-        kv6 = (coeff(z + _C6 * h) - omega2) * u6
+        kv6 = (k2 * math.exp(2.0 * (z + _C6 * h)) - omega2) * u6
         u7 = u + h * (_A7_1 * v + _A7_4 * v4 + _A7_5 * v5 + _A7_6 * v6)
         v7 = v + h * (_A7_1 * kv1 + _A7_4 * kv4 + _A7_5 * kv5 + _A7_6 * kv6)
-        kv7 = (coeff(z + _C7 * h) - omega2) * u7
+        kv7 = (k2 * math.exp(2.0 * (z + _C7 * h)) - omega2) * u7
         u8 = u + h * (_A8_1 * v + _A8_4 * v4 + _A8_5 * v5 + _A8_6 * v6
                       + _A8_7 * v7)
         v8 = v + h * (_A8_1 * kv1 + _A8_4 * kv4 + _A8_5 * kv5 + _A8_6 * kv6
                       + _A8_7 * kv7)
-        kv8 = (coeff(z + _C8 * h) - omega2) * u8
+        kv8 = (k2 * math.exp(2.0 * (z + _C8 * h)) - omega2) * u8
         u9 = u + h * (_A9_1 * v + _A9_4 * v4 + _A9_5 * v5 + _A9_6 * v6
                       + _A9_7 * v7 + _A9_8 * v8)
         v9 = v + h * (_A9_1 * kv1 + _A9_4 * kv4 + _A9_5 * kv5 + _A9_6 * kv6
                       + _A9_7 * kv7 + _A9_8 * kv8)
-        kv9 = (coeff(z + _C9 * h) - omega2) * u9
+        kv9 = (k2 * math.exp(2.0 * (z + _C9 * h)) - omega2) * u9
         u10 = u + h * (_A10_1 * v + _A10_4 * v4 + _A10_5 * v5 + _A10_6 * v6
                        + _A10_7 * v7 + _A10_8 * v8 + _A10_9 * v9)
         v10 = v + h * (_A10_1 * kv1 + _A10_4 * kv4 + _A10_5 * kv5
                        + _A10_6 * kv6 + _A10_7 * kv7 + _A10_8 * kv8
                        + _A10_9 * kv9)
-        kv10 = (coeff(z + _C10 * h) - omega2) * u10
+        kv10 = (k2 * math.exp(2.0 * (z + _C10 * h)) - omega2) * u10
         u11 = u + h * (_A11_1 * v + _A11_4 * v4 + _A11_5 * v5 + _A11_6 * v6
                        + _A11_7 * v7 + _A11_8 * v8 + _A11_9 * v9
                        + _A11_10 * v10)
         v11 = v + h * (_A11_1 * kv1 + _A11_4 * kv4 + _A11_5 * kv5
                        + _A11_6 * kv6 + _A11_7 * kv7 + _A11_8 * kv8
                        + _A11_9 * kv9 + _A11_10 * kv10)
-        kv11 = (coeff(z + _C11 * h) - omega2) * u11
+        kv11 = (k2 * math.exp(2.0 * (z + _C11 * h)) - omega2) * u11
         u12 = u + h * (_A12_1 * v + _A12_4 * v4 + _A12_5 * v5 + _A12_6 * v6
                        + _A12_7 * v7 + _A12_8 * v8 + _A12_9 * v9
                        + _A12_10 * v10 + _A12_11 * v11)
         v12 = v + h * (_A12_1 * kv1 + _A12_4 * kv4 + _A12_5 * kv5
                        + _A12_6 * kv6 + _A12_7 * kv7 + _A12_8 * kv8
                        + _A12_9 * kv9 + _A12_10 * kv10 + _A12_11 * kv11)
-        q12 = coeff(z + h) - omega2  # the next step's stage 1 reuses it
+        q12 = k2 * math.exp(2.0 * (z + h)) - omega2  # next step's stage 1
         kv12 = q12 * u12
         # weighted slopes: the step is h times the b-weighted sum, and the
         # error terms are the E5- and E3-weighted sums
@@ -333,27 +343,20 @@ def magnus_plane_waves(kappa2, omega, z_start, init, outputs):
     oracle's fit window, r <= e^{-16} and w h <= 0.64, the first step's
     bound is 5.5e-16 and U falls by e^{-2h} per step after it.  Raises
     DomainError where U/w^2 > 2e-7 at z_start (bound 1.8e-15 per step at
-    w h = 0.64), on w <= 0, kappa2 < 0, a non-finite seed, and outputs
-    that do not move leftward from z_start.
+    w h = 0.64), on outputs that move rightward, and where _ode_problem
+    rejects the inputs.
     """
-    w, k2, z0 = float(omega), float(kappa2), float(z_start)
-    if not (0.0 < w < math.inf and 0.0 <= k2 < math.inf and math.isfinite(z0)):
-        raise DomainError(f"magnus_plane_waves: need omega > 0, kappa2 >= 0 "
-                          f"and z_start finite, not {w}, {k2}, {z0}")
+    k2, w, grid, direction, u, v, real = _ode_problem(
+        "magnus_plane_waves", kappa2, omega, z_start, init, outputs)
+    if direction > 0.0:
+        raise DomainError("magnus_plane_waves: outputs must move leftward "
+                          "from z_start")
+    z0 = float(grid[0])
     # in logs: e^{2 z_start} alone may overflow where U(z_start) does not
     log_u0 = 2.0 * z0 + math.log(k2) if k2 > 0.0 else -math.inf
     if log_u0 > math.log(_MAGNUS_U_MAX * w * w):
         raise DomainError(f"magnus_plane_waves: U/omega^2 above {_MAGNUS_U_MAX} "
                           f"at z_start = {z0}")
-    # grid point 0 is z_start, and t = z - z_start
-    grid = np.concatenate(([z0], np.array(outputs, dtype=float, ndmin=1)))
-    if not (np.isfinite(grid).all() and (grid[1:] <= grid[:-1]).all()):
-        raise DomainError("magnus_plane_waves: outputs must move leftward "
-                          "from z_start")
-    u, v = complex(init[0]), complex(init[1])
-    if not (cmath.isfinite(u) and cmath.isfinite(v)):
-        raise DomainError(f"magnus_plane_waves: non-finite seed ({u}, {v})")
-    real = u.imag == 0.0 and v.imag == 0.0
 
     # the moments of every step in one pass
     t = grid - z0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from dataclasses import dataclass
 
@@ -25,7 +26,12 @@ import numpy as np
 from .errors import ConditioningError, DomainError, RangeError
 from .modes import ModeParams, _exp_z, _require_kappa
 from .numerics import integrate_linear_ode2, lsq_fit_two_waves, magnus_plane_waves
-from .specfun import _BLOCK, BasisBranch, basis_G1, log_gamma, recurrence_shift
+from .specfun import (_BLOCK, _LOG_DOUBLE_MAX, BasisBranch, basis_G1, log_gamma,
+                      recurrence_shift)
+
+# the smallest positive normal double, and its log
+_DOUBLE_MIN = sys.float_info.min
+_LOG_DOUBLE_MIN = math.log(_DOUBLE_MIN)
 
 __all__ = [
     "AsymptoticAmplitudes",
@@ -104,13 +110,27 @@ class NeumannAudit:
 
 
 def schrodinger_potential(p: ModeParams, z: float) -> float:
-    """Barrier potential U(z) = (a^2 + b^2) e^{2z} of the radial equation."""
-    return p.kappa * p.kappa * math.exp(2.0 * z)
+    """Barrier potential U(z) = (a^2 + b^2) e^{2z} of the radial equation.
+
+    It is kappa^2 e^{2z} where both factors are normal doubles.  Where one
+    is not (kappa^2 or e^{2z} overflows, underflows or is subnormal while
+    U need not be), it is X^2 with X = kappa e^z formed as the kernels form
+    it.  Raises RangeError where U is not finite.
+    """
+    k2 = p.kappa * p.kappa
+    if _DOUBLE_MIN <= k2 < math.inf and _LOG_DOUBLE_MIN <= 2.0 * z <= _LOG_DOUBLE_MAX:
+        return k2 * math.exp(2.0 * z)
+    X = p.kappa * _exp_z(z) if p.kappa else 0.0
+    if not math.isfinite(X * X):
+        raise RangeError(f"U = kappa^2 e^(2z) at kappa = {p.kappa}, z = {z} "
+                         "is past the double range")
+    return X * X
 
 
 def effective_force(p: ModeParams, z: float) -> float:
-    """-dU/dz, the effective force pushing the wave back to z -> -infinity."""
-    return -2.0 * p.kappa * p.kappa * math.exp(2.0 * z)
+    """-dU/dz = -2U, the effective force pushing the wave back to
+    z -> -infinity; U as schrodinger_potential forms it."""
+    return -2.0 * schrodinger_potential(p, z)
 
 
 def turning_point(p: ModeParams) -> BarrierInfo:
@@ -135,14 +155,26 @@ def penetration_depth(omega_physical: float, k1: float, k2: float,
 
     omega_physical in rad/s, k1 and k2 in 1/m, rho (the curvature radius)
     in metres, c in m/s.  Negative values are meaningful: the turning
-    point then lies on the near side of the z = 0 section.
+    point then lies on the near side of the z = 0 section.  Raises
+    DomainError on a non-finite input, and RangeError where c kappa or
+    omega/(c kappa) is not a normal double or the depth overflows.
     """
+    if not all(map(math.isfinite, (omega_physical, k1, k2, rho, c))):
+        raise DomainError("omega, k1, k2, rho and c must be finite")
     kappa = math.hypot(k1, k2)
     if kappa <= 0.0:
         raise DomainError("k1 = k2 = 0 gives no barrier")
     if not (omega_physical > 0.0 and rho > 0.0 and c > 0.0):
         raise DomainError("omega, rho, and c must be positive")
-    return rho * math.log(omega_physical / (c * kappa))
+    den = c * kappa
+    ratio = omega_physical / den
+    if not (_DOUBLE_MIN <= den < math.inf and _DOUBLE_MIN <= ratio < math.inf):
+        raise RangeError(f"omega/(c kappa) = {omega_physical}/({c} * {kappa}) "
+                         "is past the range of normal doubles")
+    depth = rho * math.log(ratio)
+    if not math.isfinite(depth):
+        raise RangeError(f"depth rho ln(omega/(c kappa)) overflows at rho = {rho}")
+    return depth
 
 
 def _left_coefficients(p: ModeParams):
@@ -351,9 +383,9 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
     edge state they are within 1e-14 of mpmath, and DOP853 through the
     window within 2.3e-12, at omega <= 20), and the plane-wave fit reads R
     off the samples.  The oracle stays independent of the closed forms:
-    it uses only U and omega, the Magnus moments are integrals of the
-    ODE's coefficient U = kappa^2 e^{2z} and not Bessel series, and
-    nothing comes from `specfun` except the growing variant's seed.
+    the integrators take only kappa^2 and omega, the Magnus moments are
+    integrals of U = kappa^2 e^{2z} and not Bessel series, and nothing
+    comes from `specfun` except the growing variant's seed.
 
     variant "decaying": seed inside the barrier with the decaying profile
     (unit value, log-derivative from the large-argument series) at the
@@ -392,13 +424,8 @@ def reflection_numeric_oracle(p: ModeParams, variant: str = "decaying") -> float
         raise DomainError(f"unknown oracle variant {variant!r}")
 
     k2 = p.kappa * p.kappa
-
-    def U(z):
-        return k2 * math.exp(2.0 * z)
-
     window = _fit_window(p)
-    edge = integrate_linear_ode2(U, p.omega * p.omega, (z_seed, window[1]),
-                                 (u, v), [window[1]])
+    edge = integrate_linear_ode2(k2, p.omega, z_seed, (u, v), [window[1]])
     zs = np.linspace(window[1], window[0], _FIT_SAMPLES)
     res = magnus_plane_waves(k2, p.omega, window[1], (edge.u[0], edge.du[0]),
                              zs)

@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import pytest
 
 from lobwave.cli import build_parser, main
@@ -107,6 +108,23 @@ def test_profile_csv_morphology(tmp_path):
     assert all(a > b for a, b in zip(right, right[1:]))
 
 
+@pytest.mark.parametrize("bounds", [
+    ("--a", "1e200", "--zmin", "-470", "--zmax", "-461", "--points", "3"),
+    ("--a", "1e-160", "--zmin", "340", "--zmax", "360", "--points", "3"),
+    ("--a", "1e-300", "--zmin", "689", "--zmax", "690", "--points", "2"),
+], ids=["kappa2-inf", "kappa2-subnormal", "e2z-overflow"])
+def test_profile_potential_at_extreme_kappa(tmp_path, bounds):
+    # U = kappa^2 e^{2z} is finite where one factor leaves the double range
+    code, text = run(tmp_path, "profile", "--omega", "1", "--b", "0", *bounds)
+    assert code == 0
+    kappa = float(bounds[1])
+    for line in text.splitlines()[1:]:
+        z, U = (float(v) for v in line.split(",")[::6])
+        with mpmath.workdps(40):
+            ref = (mpmath.mpf(kappa) * mpmath.exp(z)) ** 2
+        assert abs(U - ref) <= 1e-15 * ref, (z, U)
+
+
 def test_profile_kappa_zero_exit_2(tmp_path):
     code, text = run(tmp_path, "profile", "--omega", "1", "--a", "0",
                      "--b", "0")
@@ -186,6 +204,20 @@ def test_depth_kappa_zero_exit_2(tmp_path):
     code, _ = run(tmp_path, "depth", "--omega", "1e9", "--k1", "0",
                   "--k2", "0", "--rho", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("--k1", "nan"), ("--omega", "inf"), ("--rho", "inf"), ("--k1", "inf"),
+    ("--omega", "1e-320"), ("--k1", "1e308", "--k2", "1e308"),
+    # the depth and the turning |x| = omega rho / c overflow
+    ("--omega", "1e100", "--rho", "1e307"), ("--omega", "1e300", "--rho", "1e300"),
+], ids=["k1-nan", "omega-inf", "rho-inf", "k1-inf", "omega-underflow",
+        "kappa-overflow", "depth-overflow", "x0-overflow"])
+def test_depth_past_range_exit_2(tmp_path, capsys, args):
+    # never nan or inf in the JSON, and never a traceback
+    code, text = run(tmp_path, "depth", *args)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_csv(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobwave import scattering
+from lobwave import checks, scattering
 from lobwave.errors import ConditioningError, DomainError, RangeError
 from lobwave.modes import ModeParams
 from lobwave.numerics import integrate_linear_ode2, magnus_plane_waves
@@ -41,6 +41,30 @@ def test_potential_basics():
     assert effective_force(p1, 0.0) == -2.0
 
 
+# kappa^2 = inf with e^{2z} = 0; kappa^2 subnormal (and e^{2z} past the
+# double range at z = 360); kappa^2 = 0 with e^{2z} past the range
+@pytest.mark.parametrize("kappa, zs", [(1e200, (-470.0, -465.5, -461.0)),
+                                       (1e-160, (340.0, 350.0, 360.0)),
+                                       (1e-300, (689.0, 690.0))])
+def test_potential_at_extreme_kappa_against_mpmath(kappa, zs):
+    p = ModeParams(1.0, kappa, 0.0)
+    for z in zs:
+        with mpmath.workdps(40):
+            ref = (mpmath.mpf(kappa) * mpmath.exp(z)) ** 2
+        got = schrodinger_potential(p, z)
+        assert abs(got - ref) <= 1e-15 * ref, (kappa, z, got)
+        assert effective_force(p, z) == -2.0 * got
+
+
+def test_potential_keeps_ordinary_bits_and_raises_past_range():
+    for kappa, z in ((1.0, 0.3), (0.7, -5.0), (3e100, -200.0), (2e-50, 100.0)):
+        p = ModeParams(1.0, kappa, 0.0)
+        assert schrodinger_potential(p, z) == kappa * kappa * math.exp(2.0 * z)
+    for kappa, z in ((1.0, 355.0), (1e-300, 1e3), (1e200, -100.0)):
+        with pytest.raises(RangeError, match="past the double range"):
+            schrodinger_potential(ModeParams(1.0, kappa, 0.0), z)
+
+
 def test_turning_point_values():
     assert turning_point(ModeParams(1.0, 1.0, 0.0)).z0 == 0.0
     info = turning_point(ModeParams(10.0, 1.0, 0.0))
@@ -68,6 +92,21 @@ def test_penetration_depth_basics():
     assert d2 == pytest.approx(2.0 * d1, rel=1e-14)
     with pytest.raises(DomainError):
         penetration_depth(1.0, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((math.nan, 1.0, 1.0, 1.0), DomainError),
+    ((1e9, math.inf, 1.0, 1.0), DomainError),
+    ((1e9, 1.0, 1.0, math.inf), DomainError),
+    ((1e9, 1.0, 1.0, 1.0, math.nan), DomainError),
+    # omega/(c kappa) underflows; c kappa overflows; the depth overflows
+    ((1e-320, 1.0, 1.0, 1.0), RangeError),
+    ((1e9, 1e308, 1e308, 1.0), RangeError),
+    ((1e100, 1.0, 1.0, 1e307), RangeError),
+])
+def test_penetration_depth_raises_past_range(args, error):
+    with pytest.raises(error):
+        penetration_depth(*args)
 
 
 def test_penetration_depth_si_golden():
@@ -207,16 +246,44 @@ def test_numeric_oracle_decaying_step_count(monkeypatch):
         assert steps[0] <= budget, (w, steps[0])
 
 
-def test_numeric_oracle_golden_bits():
-    # repr(R) pinned with ==: the decaying runs are float runs and the
-    # growing run a complex one
-    for (w, a, b), r in (((1.3, 0.7, 0.2), "1.0000000000000007"),
-                         ((1.3, 1.0, 0.0), "1.0000000000000013"),
-                         ((2.0, 1.0, 0.0), "1.000000000000001"),
-                         ((20.0, 1.0, 0.0), "1.0000000000000004")):
+def _dop853_steps(monkeypatch, module):
+    """The (accepted, rejected) steps of each DOP853 run `module` makes."""
+    steps = []
+
+    def counting(*args):
+        res = integrate_linear_ode2(*args)
+        steps.append((res.n_accepted, res.n_rejected))
+        return res
+
+    monkeypatch.setattr(module, "integrate_linear_ode2", counting)
+    return steps
+
+
+def test_numeric_oracle_golden_bits(monkeypatch):
+    # repr(R) and DOP853's (accepted, rejected) steps pinned with ==: the
+    # decaying runs are float runs and the growing run a complex one
+    steps = _dop853_steps(monkeypatch, scattering)
+    for (w, a, b), r, n in (((1.3, 0.7, 0.2), "1.0000000000000007", (158, 4)),
+                            ((1.3, 1.0, 0.0), "1.0000000000000013", (158, 4)),
+                            ((2.0, 1.0, 0.0), "1.000000000000001", (191, 10)),
+                            ((20.0, 1.0, 0.0), "1.0000000000000004", (1105, 60))):
+        steps.clear()
         assert repr(reflection_numeric_oracle(ModeParams(w, a, b))) == r, w
+        assert steps == [n], w
+    steps.clear()
     assert repr(reflection_numeric_oracle(ModeParams(0.5, 1.0, 0.0),
                                           variant="growing")) == "535.4916516733356"
+    assert steps == [(79, 0)]
+
+
+def test_closed_form_vs_ode_steps_pinned(monkeypatch):
+    # the 12 rightward bessel+ runs on the (omega, kappa) grid, then the
+    # leftward hankel1 run; the counts depend on no machine
+    steps = _dop853_steps(monkeypatch, checks)
+    assert checks.closed_form_vs_ode() <= 1e-7
+    assert steps == [(109, 2), (102, 1), (98, 0), (181, 4), (176, 3), (160, 3),
+                     (337, 2), (312, 3), (293, 2), (812, 0), (757, 0), (709, 0),
+                     (281, 5)]
 
 
 def _oracle_window_runs(monkeypatch, cells):
@@ -235,11 +302,6 @@ def _oracle_window_runs(monkeypatch, cells):
     return runs
 
 
-def _dop853_window(k2, omega, z_start, init, outputs):
-    return integrate_linear_ode2(lambda z: k2 * math.exp(2.0 * z), omega * omega,
-                                 (z_start, outputs[-1]), init, list(outputs))
-
-
 def test_magnus_window_agrees_with_dop853(monkeypatch):
     # the oracle's own window runs against DOP853 through the same window.
     # DOP853's phase error grows with the wavelengths it crosses: from an
@@ -253,7 +315,7 @@ def test_magnus_window_agrees_with_dop853(monkeypatch):
                rng.uniform(0.1, 5.0), "growing") for _ in range(12)]
     for k2, w, z_start, init, outs in _oracle_window_runs(monkeypatch, cells):
         mag = magnus_plane_waves(k2, w, z_start, init, outs)
-        dop = _dop853_window(k2, w, z_start, init, outs)
+        dop = integrate_linear_ode2(k2, w, z_start, init, outs)
         assert mag.z == dop.z
         scale = max(abs(x) for x in dop.u)
         err = max(abs(x - y) for x, y in zip(mag.u, dop.u)) / scale
@@ -284,7 +346,7 @@ def test_magnus_window_against_mpmath(monkeypatch):
 
         c = (init[0] * g0 + init[1] * dg0 / w ** 2) / (g0 * g0 + dg0 * dg0 / w ** 2)
         mag = magnus_plane_waves(k2, w, z_start, init, outs)
-        dop = _dop853_window(k2, w, z_start, init, outs)
+        dop = integrate_linear_ode2(k2, w, z_start, init, outs)
         assert err(mag, c) <= err(dop, c) + 1e-13, (w, err(mag, c), err(dop, c))
         exact = magnus_plane_waves(k2, w, z_start, (1.0, dg0 / g0), outs)
         assert err(exact, 1.0 / g0) <= 1e-14, (w, err(exact, 1.0 / g0))
@@ -303,12 +365,11 @@ def test_imaginary_seed_takes_the_float_runs_steps(monkeypatch):
     for w, k in ((0.3, 0.5), (2.0, 1.0), (7.0, 3.0), (20.0, 1.0)):
         reflection_numeric_oracle(ModeParams(w, k, 0.0))
     # and one rightward run through the turning point at z = ln 2
-    runs.append((lambda z: math.exp(2.0 * z), 4.0, (-6.0, 3.0), (1.0, 0.5),
-                 np.linspace(-6.0, 3.0, 25).tolist()))
+    runs.append((1.0, 2.0, -6.0, (1.0, 0.5), np.linspace(-6.0, 3.0, 25).tolist()))
     assert len(runs) == 5
-    for coeff, omega2, span, (u0, v0), outs in runs:
-        real = integrate_linear_ode2(coeff, omega2, span, (u0, v0), outs)
-        imag = integrate_linear_ode2(coeff, omega2, span, (1j * u0, 1j * v0), outs)
+    for k2, w, z_start, (u0, v0), outs in runs:
+        real = integrate_linear_ode2(k2, w, z_start, (u0, v0), outs)
+        imag = integrate_linear_ode2(k2, w, z_start, (1j * u0, 1j * v0), outs)
         assert all(type(x) is float for x in real.u + real.du)
         assert [x.imag for x in imag.u] == real.u
         assert [x.imag for x in imag.du] == real.du
