@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +143,30 @@ def _exp_z(z):
     return math.inf if z > _LOG_DOUBLE_MAX else math.exp(z)
 
 
+# log of the smallest normal double: below it e^z is subnormal
+_LOG_DOUBLE_MIN = math.log(sys.float_info.min)
+
+
+def _kappa_exp_z(kappa: float, z):
+    """The kernels' argument X = kappa e^z for a float or a 1-D array z,
+    with e^z as `_exp_z` forms it.  Where e^z is subnormal it carries only
+    a few digits, so there X is (kappa e^{z/2}) e^{z/2}; the same
+    expression on a float and on a grid, so a grid gives each float z's X
+    to the bit."""
+    if not isinstance(z, np.ndarray):
+        if z < _LOG_DOUBLE_MIN:
+            half = math.exp(0.5 * z)
+            return (kappa * half) * half
+        return kappa * _exp_z(z)
+    with np.errstate(over="ignore"):
+        X = kappa * _exp_z(z)
+    small = z < _LOG_DOUBLE_MIN
+    if small.any():
+        half = _exp_z(0.5 * z[small])
+        X[small] = (kappa * half) * half
+    return X
+
+
 def eval_G(branch: BasisBranch, p: ModeParams, z):
     """(G1, G2) at height z: G1 from the branch kernel, G2 = (x/omega) dG1/dx.
 
@@ -149,8 +174,7 @@ def eval_G(branch: BasisBranch, p: ModeParams, z):
     one kernel call over the whole grid.
     """
     _require_kappa(p)
-    with np.errstate(over="ignore"):
-        X = p.kappa * _exp_z(z)
+    X = _kappa_exp_z(p.kappa, z)
     # G2 first: it is not finite wherever G1 is not, so a grid raises
     # the error that a point-by-point loop would meet first
     g2 = recurrence_shift(branch, p.omega, X).value / p.omega

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +136,8 @@ _BHH12 = 0.220588235294117647058823529412e-1
 # floor) and its budget of attempted steps
 _ODE_REL_TOL = 1e-11
 _ODE_MAX_STEPS = 2_000_000
+# log of the largest double: e^x overflows past it
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def _ode_problem(name, kappa2, omega, z_start, init, outputs):
@@ -171,11 +174,17 @@ def integrate_linear_ode2(kappa2, omega, z_start, init, outputs):
     component, on u and on u'/scale, with DOP853's combined 5th/3rd-order
     estimate and step exponent 1/8, at a relative tolerance of 1e-11 and
     no absolute floor.  Raises DomainError where _ode_problem rejects the
-    inputs, RangeError where a recorded (u, u') is not finite, and
-    AccuracyError past 2,000,000 steps.
+    inputs, RangeError where e^{2z} overflows a double at either end of
+    the run (even if U = kappa2 e^{2z} would not) or a recorded (u, u') is
+    not finite, and AccuracyError past 2,000,000 steps.
     """
     k2, w, grid, direction, u, v, real = _ode_problem(
         "integrate_linear_ode2", kappa2, omega, z_start, init, outputs)
+    # every stage forms e^{2z}, and the run stays between its two ends
+    z_top = max(float(grid[0]), float(grid[-1]))
+    if 2.0 * z_top > _LOG_DOUBLE_MAX:
+        raise RangeError(f"integrate_linear_ode2: e^(2z) overflows a double "
+                         f"at z = {z_top}")
     if real:
         u, v = u.real, v.real
     outputs = grid[1:].tolist()

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, RangeError
-from .modes import ModeParams, _exp_z, _require_kappa
+from .modes import _LOG_DOUBLE_MIN, ModeParams, _kappa_exp_z, _require_kappa
 from .numerics import integrate_linear_ode2, lsq_fit_two_waves, magnus_plane_waves
 from .specfun import (_BLOCK, _LOG_DOUBLE_MAX, BasisBranch, basis_G1, log_gamma,
                       recurrence_shift)
 
-# the smallest positive normal double, and its log
+# the smallest positive normal double
 _DOUBLE_MIN = sys.float_info.min
-_LOG_DOUBLE_MIN = math.log(_DOUBLE_MIN)
 
 __all__ = [
     "AsymptoticAmplitudes",
@@ -120,7 +119,7 @@ def schrodinger_potential(p: ModeParams, z: float) -> float:
     k2 = p.kappa * p.kappa
     if _DOUBLE_MIN <= k2 < math.inf and _LOG_DOUBLE_MIN <= 2.0 * z <= _LOG_DOUBLE_MAX:
         return k2 * math.exp(2.0 * z)
-    X = p.kappa * _exp_z(z) if p.kappa else 0.0
+    X = _kappa_exp_z(p.kappa, z) if p.kappa else 0.0
     if not math.isfinite(X * X):
         raise RangeError(f"U = kappa^2 e^(2z) at kappa = {p.kappa}, z = {z} "
                          "is past the double range")
@@ -259,7 +258,7 @@ def _fit_window(p: ModeParams):
 
 def _kernel_samples(branch: BasisBranch, p: ModeParams):
     zs = np.linspace(*_fit_window(p), _FIT_SAMPLES)
-    X = p.kappa * _exp_z(zs)
+    X = _kappa_exp_z(p.kappa, zs)
     return zs, basis_G1(branch, p.omega, X).value
 
 
@@ -512,7 +511,7 @@ def envelope_crossing(p: ModeParams) -> float:
 
     zs = np.linspace(z0 - _CROSSING_SEARCH, z0 + _CROSSING_SEARCH, 601)
     # each X is the one the refinement's float z gives, to the bit
-    X = p.kappa * _exp_z(zs)
+    X = _kappa_exp_z(p.kappa, zs)
     i = -1
     right = None  # |G1| on the block walked before this one
     for end in range(len(zs), 0, -_BLOCK):
@@ -550,7 +549,7 @@ def envelope_crossing(p: ModeParams) -> float:
                 nudge *= 2.0
             if not lo < z < hi:
                 z = mid
-        m = mag(p.kappa * _exp_z(z))
+        m = mag(_kappa_exp_z(p.kappa, z))
         g = math.log(m / target)
         if m >= target:
             lo, g_lo = z, g

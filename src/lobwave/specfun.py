@@ -52,6 +52,20 @@ benchmark workload, which calls the kernels one point at a time, read
 its median op time 28% higher (13.06 -> 16.32 and 12.43 -> 16.44 ms in
 two pairs of 25-second runs), past the benchmark's 25% bound.
 
+Each public call sums each I order once.  `_cyl_at_ix`'s H2 and N sum
+I_nu for J_nu and hand it to K_nu's reflection route (on a grid, the
+reflection share takes its rows from the whole-grid I array), and
+`wronskian_IK` hands I_nu and I_{nu+-1} to K_nu and K_{nu+-1}.  A series
+or asymptotic row depends only on its own X and order, so the shared
+value has the bits the route would sum itself.  Ascending-series passes
+per call where the reflection route serves K, on a float or a block:
+hankel2 and neumann+- `eval_G` 4 (I_nu in `recurrence_shift` and again
+in `basis_G1`, I_{nu+-1}, and I_{-nu-+1} for K_{nu+-1}), hankel1 4,
+bessel+- 3, `wronskian_IK` 5 (I at nu and nu +- 1, and I_{1-nu} and
+I_{-1-nu} for K_{nu-1} and K_{nu+1}).  The saddle-line and quadrature
+routes run once per order and call: 3 times per hankel1, hankel2 or
+neumann `eval_G`, 3 times per `wronskian_IK`.
+
 All three K routes are kept callable so tests can compare them.
 """
 
@@ -186,15 +200,16 @@ _BLOCK = 32
 
 
 def _on_grid(nu: complex, X: np.ndarray, routes):
-    """(value, err) arrays over X.  `routes` holds (mask, route) pairs; each
-    route takes nu and at most _BLOCK of the X its mask selects."""
+    """(value, err) arrays over X.  `routes` holds (mask, route, *rows)
+    entries; each route takes nu, at most _BLOCK of the X its mask selects,
+    and the same entries of each array in `rows`."""
     value = np.empty(X.size, dtype=complex)
     err = np.empty(X.size)
-    for mask, route in routes:
+    for mask, route, *rows in routes:
         share = np.flatnonzero(mask)
         for lo in range(0, share.size, _BLOCK):
             part = share[lo:lo + _BLOCK]
-            value[part], err[part] = route(nu, X[part])
+            value[part], err[part] = route(nu, X[part], *(r[part] for r in rows))
     return value, err
 
 
@@ -346,9 +361,13 @@ def _k_quadrature(nu: complex, X: np.ndarray):
                             f"{X.min()} to {X.max()})") from exc
 
 
-def _k_reflection(nu: complex, X):
-    """K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)); oscillatory-regime route."""
-    ip, ep = _bessel_I(nu, X)
+def _k_reflection(nu: complex, X, ip=None, ep=None):
+    """K_nu = pi (I_{-nu} - I_nu) / (2 sin(pi nu)); oscillatory-regime route.
+
+    I_nu's value and estimate at X are summed here unless given as ip, ep.
+    """
+    if ip is None:
+        ip, ep = _bessel_I(nu, X)
     if nu.real == 0.0:
         # for imaginary orders I_{-nu} is conj(I_nu), bit for bit
         im, em = ip.conjugate(), ep
@@ -410,7 +429,9 @@ def _k_contour(nu: complex, X: np.ndarray):
     return value, err
 
 
-def _bessel_K(nu: complex, X):
+def _bessel_K(nu: complex, X, i_nu=()):
+    """K_nu at X.  `i_nu` is () or the (value, err) of `_bessel_I(nu, X)`,
+    which the reflection route then takes in place of its own I_nu pass."""
     w = abs(nu.imag)
     # bools at a float X, where ~ would not negate, and masks on a grid
     contour = X > 1.05 * w
@@ -418,12 +439,12 @@ def _bessel_K(nu: complex, X):
     if isinstance(X, np.ndarray):
         return _on_grid(nu, X, ((contour, _k_contour),
                                 (quadrature, _k_quadrature),
-                                (~(contour | quadrature), _k_reflection)))
+                                (~(contour | quadrature), _k_reflection, *i_nu)))
     if contour:
         return _at_float(_k_contour, nu, X)
     if quadrature:
         return _at_float(_k_quadrature, nu, X)
-    return _k_reflection(nu, X)
+    return _k_reflection(nu, X, *i_nu)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +478,15 @@ def wronskian_IK(omega: float, X):
     nu = 1j * omega
 
     def wronskian(X):
-        i0, _ = _bessel_I(nu, X)
-        k0, _ = _bessel_K(nu, X)
-        di = 0.5 * (_bessel_I(nu - 1.0, X)[0] + _bessel_I(nu + 1.0, X)[0])
-        dk = -0.5 * (_bessel_K(nu - 1.0, X)[0] + _bessel_K(nu + 1.0, X)[0])
+        # each I order is summed once, and K's reflection route takes it
+        i0 = _bessel_I(nu, X)
+        k0, _ = _bessel_K(nu, X, i0)
+        i_down, i_up = _bessel_I(nu - 1.0, X), _bessel_I(nu + 1.0, X)
+        di = 0.5 * (i_down[0] + i_up[0])
+        dk = -0.5 * (_bessel_K(nu - 1.0, X, i_down)[0]
+                     + _bessel_K(nu + 1.0, X, i_up)[0])
         # the value alone: no estimate is carried
-        return i0 * dk - di * k0, 0.0 * X
+        return i0[0] * dk - di * k0, 0.0 * X
 
     return _special_value(wronskian, X).value
 
@@ -497,25 +521,29 @@ def _cyl_at_ix(kind: str, nu: complex, X: float):
     H1_nu(iX)   = (2/(i pi)) e^{-i pi nu/2} K_nu(X)
     H2_nu(iX)   = 2 J_nu(iX) - H1_nu(iX)
     N_nu(iX)    = (H1_nu(iX) - H2_nu(iX)) / (2i)
+
+    H2 and N sum I_nu once, for J_nu and for K_nu's reflection route.
     """
-    if kind == "J":
-        i_val, i_err = _bessel_I(nu, X)
-        phase = cmath.exp(0.5j * cmath.pi * nu)
-        return phase * i_val, abs(phase) * i_err
     if kind == "H1":
-        k_val, k_err = _bessel_K(nu, X)
-        factor = (2.0 / (1j * cmath.pi)) * cmath.exp(-0.5j * cmath.pi * nu)
-        return factor * k_val, abs(factor) * k_err
+        return _h1_from_k(nu, _bessel_K(nu, X))
+    if kind not in ("J", "H2", "N"):
+        raise DomainError(f"unknown cylinder kind {kind!r}")
+    i_nu = _bessel_I(nu, X)
+    phase = cmath.exp(0.5j * cmath.pi * nu)
+    j_val, j_err = phase * i_nu[0], abs(phase) * i_nu[1]
+    if kind == "J":
+        return j_val, j_err
+    h1_val, h1_err = _h1_from_k(nu, _bessel_K(nu, X, i_nu))
     if kind == "H2":
-        j_val, j_err = _cyl_at_ix("J", nu, X)
-        h1_val, h1_err = _cyl_at_ix("H1", nu, X)
         return 2.0 * j_val - h1_val, 2.0 * j_err + h1_err
-    if kind == "N":
-        j_val, j_err = _cyl_at_ix("J", nu, X)
-        h1_val, h1_err = _cyl_at_ix("H1", nu, X)
-        # N = (H1 - H2)/(2i) = (H1 - J)/i
-        return (h1_val - j_val) / 1j, h1_err + j_err
-    raise DomainError(f"unknown cylinder kind {kind!r}")
+    # N = (H1 - H2)/(2i) = (H1 - J)/i
+    return (h1_val - j_val) / 1j, h1_err + j_err
+
+
+def _h1_from_k(nu: complex, k):
+    """H1_nu(iX) and its estimate from K_nu(X)'s (value, err)."""
+    factor = (2.0 / (1j * cmath.pi)) * cmath.exp(-0.5j * cmath.pi * nu)
+    return factor * k[0], abs(factor) * k[1]
 
 
 def _special_value(kernel, X) -> SpecialValue:

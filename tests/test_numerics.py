@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -186,6 +187,21 @@ def test_ode_guards(integrate, bad, match):
     # arguments and share one input check
     with pytest.raises(DomainError, match=match):
         integrate(**{**_GOOD_RUN, **bad})
+
+
+def test_dop853_raises_where_e2z_overflows_at_either_end():
+    # U = kappa2 e^{2z} is a double up to z = 355 at kappa2 = 1e-306, but
+    # DOP853's stages form e^{2z}, past the double range from z = 354.89 on:
+    # a RangeError from the seed's end or from the last output's, where a
+    # bare OverflowError came from the first stage past the range
+    top = 0.5 * math.log(sys.float_info.max)
+    for z_start, outputs in ((355.0, [354.0]), (354.0, [354.5, 355.0])):
+        with pytest.raises(RangeError, match=r"e\^\(2z\) overflows a double at z = 355.0"):
+            integrate_linear_ode2(1e-306, 0.5, z_start, (1.0, 0.0), outputs)
+    # runs that end at the last z whose e^{2z} is a double go through
+    for z_start, outputs in ((354.0, [354.5, top]), (top, [354.0])):
+        res = integrate_linear_ode2(1e-308, 0.5, z_start, (1.0, 0.0), outputs)
+        assert math.isfinite(res.u[-1]) and res.z[-1] == outputs[-1]
 
 
 # the integrands of the next three tests decay at least like e^{-t}: past

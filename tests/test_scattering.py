@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobwave import checks, scattering
+from lobwave import checks, modes, scattering
 from lobwave.errors import ConditioningError, DomainError, RangeError
 from lobwave.modes import ModeParams
 from lobwave.numerics import integrate_linear_ode2, magnus_plane_waves
@@ -54,6 +54,30 @@ def test_potential_at_extreme_kappa_against_mpmath(kappa, zs):
         got = schrodinger_potential(p, z)
         assert abs(got - ref) <= 1e-15 * ref, (kappa, z, got)
         assert effective_force(p, z) == -2.0 * got
+
+
+@pytest.mark.parametrize("z", [-740.0, -739.0])
+def test_x_and_potential_where_e_z_is_subnormal(z):
+    # e^z below the smallest normal double carries a few digits: X = kappa
+    # e^z was 2.6e-3 off at z = -740, and U = X^2 with it
+    p = ModeParams(1.0, 1e300, 0.0)
+    with mpmath.workdps(40):
+        ref = mpmath.mpf(p.kappa) * mpmath.exp(z)
+    X = modes._kappa_exp_z(p.kappa, z)
+    assert abs(X - ref) <= 1e-14 * ref
+    assert abs(schrodinger_potential(p, z) - ref ** 2) <= 1e-14 * ref ** 2
+    # a grid gives the float's X, and eval_G takes it
+    assert modes._kappa_exp_z(p.kappa, np.array([0.0, z]))[1] == X
+    g1, _ = modes.eval_G(BasisBranch.HANKEL1, p, z)
+    assert g1 == basis_G1(BasisBranch.HANKEL1, p.omega, X).value
+
+
+def test_x_keeps_its_bits_where_e_z_is_normal():
+    zs = np.array([-708.3, -700.0, -5.0, 0.0, 3.5, 700.0])
+    for kappa in (1e300, 1.0, 1e-300):
+        grid = modes._kappa_exp_z(kappa, zs)
+        for i, z in enumerate(zs.tolist()):
+            assert modes._kappa_exp_z(kappa, z) == grid[i] == kappa * math.exp(z)
 
 
 def test_potential_keeps_ordinary_bits_and_raises_past_range():
@@ -401,6 +425,13 @@ def test_numeric_oracle_kappa_past_the_double_range(kappa, variant):
     # OverflowError, a RangeError on a NaN state and an AccuracyError
     with pytest.raises(RangeError, match="double range"):
         reflection_numeric_oracle(ModeParams(2.0, kappa, 0.0), variant)
+
+
+def test_numeric_oracle_seed_past_the_range_of_e2z():
+    # the seed sits at z = 355.3, where U = kappa^2 e^{2z} is a double but
+    # e^{2z} is not: a RangeError, where DOP853 raised a bare OverflowError
+    with pytest.raises(RangeError, match=r"e\^\(2z\) overflows a double at z = 355.2"):
+        reflection_numeric_oracle(ModeParams(0.5, 1e-153, 0.0))
 
 
 @pytest.mark.parametrize("kappa", [1e-150, 1e150])

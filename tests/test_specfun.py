@@ -655,3 +655,90 @@ def test_tiny_x_below_overflow_stays_finite():
     grid = recurrence_shift(BasisBranch.BESSEL_MINUS, 1.0, np.array([1e-307]))
     assert cmath.isfinite(point.value)
     assert abs(grid.value[0] - point.value) <= 1e-13 * abs(point.value)
+
+
+# H2, N and wronskian_IK sum each I order once and hand it to K's
+# reflection route.  Below is the composition that evaluated J and H1
+# independently, each with its own I passes; a series or asymptotic row
+# depends only on its own X and order, so both give the same bits.
+
+def _separate_cyl(kind, nu, X):
+    if kind == "J":
+        i_val, i_err = _bessel_I(nu, X)
+        phase = cmath.exp(0.5j * cmath.pi * nu)
+        return phase * i_val, abs(phase) * i_err
+    if kind == "H1":
+        k_val, k_err = _bessel_K(nu, X)
+        factor = (2.0 / (1j * cmath.pi)) * cmath.exp(-0.5j * cmath.pi * nu)
+        return factor * k_val, abs(factor) * k_err
+    j_val, j_err = _separate_cyl("J", nu, X)
+    h1_val, h1_err = _separate_cyl("H1", nu, X)
+    if kind == "H2":
+        return 2.0 * j_val - h1_val, 2.0 * j_err + h1_err
+    return (h1_val - j_val) / 1j, h1_err + j_err
+
+
+def _separate_G1(branch, omega, X):
+    kind, sign = _MAP_KIND[branch]
+    return specfun._special_value(lambda X: _separate_cyl(kind, sign * 1j * omega, X), X)
+
+
+def _separate_shift(branch, omega, X):
+    kind, sign = _MAP_KIND[branch]
+    nu = sign * 1j * omega
+
+    def shift(X):
+        f0, e0 = _separate_cyl(kind, nu, X)
+        f1, e1 = _separate_cyl(kind, nu + sign, X)
+        return sign * (nu * f0 - 1j * X * f1), abs(nu) * e0 + X * e1
+
+    return specfun._special_value(shift, X)
+
+
+def _separate_wronskian(omega, X):
+    nu = 1j * omega
+
+    def wronskian(X):
+        i0, _ = _bessel_I(nu, X)
+        k0, _ = _bessel_K(nu, X)
+        di = 0.5 * (_bessel_I(nu - 1.0, X)[0] + _bessel_I(nu + 1.0, X)[0])
+        dk = -0.5 * (_bessel_K(nu - 1.0, X)[0] + _bessel_K(nu + 1.0, X)[0])
+        return i0 * dk - di * k0, 0.0 * X
+
+    return specfun._special_value(wronskian, X).value
+
+
+def _outcome(call):
+    """The value and estimate as lists, or the exception's type and text."""
+    try:
+        got = call()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    if isinstance(got, SpecialValue):
+        return np.asarray(got.value).tolist(), np.asarray(got.abs_err_estimate).tolist()
+    return np.asarray(got).tolist()
+
+
+def _straddling_grid(w, rng):
+    """A sorted grid straddling X = 0.1, 1.05 w, 40 and w^2, more than a
+    block below 1.05 w, and seeded log-uniform X; X past 700 raises."""
+    edges = np.array([0.1, 1.05 * w, 40.0, w * w])
+    grid = np.concatenate((np.outer(edges, (1.0 - 1e-9, 1.0 + 1e-9)).ravel(),
+                           np.geomspace(1e-3, 1.05 * w, 40),
+                           np.exp(rng.uniform(math.log(1e-3), math.log(690.0), 8))))
+    return np.sort(grid)
+
+
+@pytest.mark.parametrize("w", [0.05, 0.5, 2.0, 3.0, 3.05, 5.0, 12.0, 38.5, 50.0])
+def test_shared_i_gives_the_separate_composition_bits(w):
+    rng = np.random.default_rng(23 + int(100 * w))
+    grid = _straddling_grid(w, rng)
+    floats = grid[rng.choice(grid.size, 8, replace=False)].tolist() + [1e-310, 701.0]
+    for X in [grid, grid[grid <= 700.0]] + floats:
+        for branch in BasisBranch:
+            for shared, separate in ((basis_G1, _separate_G1),
+                                     (recurrence_shift, _separate_shift)):
+                assert _outcome(lambda: shared(branch, w, X)) == _outcome(
+                    lambda: separate(branch, w, X)), (shared.__name__, branch, X)
+        assert _outcome(lambda: wronskian_IK(w, X)) == _outcome(
+            lambda: _separate_wronskian(w, X)), ("wronskian_IK", X)
