@@ -417,7 +417,7 @@ _GK_WG = np.array((0.0, 0.129484966168869693, 0.0, 0.279705391489276668, 0.0,
                    0.381830050505118945, 0.0))
 _GK_WG = np.concatenate((_GK_WG, [0.417959183673469388], _GK_WG[::-1]))
 
-# panels each integral starts from, and their centres in half-widths from a
+# panels each integral starts from, and their centres in half-widths from 0
 _PANELS0 = 8
 _ODD = np.arange(1.0, 2 * _PANELS0, 2.0)
 # rounding error of a panel's value, per unit of its integral of |f|
@@ -442,38 +442,31 @@ def _gk15(fx, half):
     return half * ik, half * np.maximum(err, 1e-16 * absf), half * absf
 
 
-def _reject(a, b, tol):
-    """The DomainError for the first integral whose (a, b, tol) is bad."""
-    for ok, what in ((math.isfinite(a) & np.isfinite(b), "interval ({}, {}) must be finite"),
-                     (b > a, "empty interval ({}, {})")):
-        if not ok.all():
-            raise DomainError("quad_adaptive: " + what.format(a, b[np.argmin(ok)]))
-    raise DomainError(f"quad_adaptive: tol = {tol[np.argmin(tol > 0.0)]} must be positive")
+def quad_adaptive(f, b, tol):
+    """Globally adaptive Gauss-Kronrod integration of f over [0, b_i],
+    many integrals at once.
 
-
-def quad_adaptive(f, interval, tol):
-    """Globally adaptive Gauss-Kronrod integration of f over `interval`,
-    one integral or many at once.
-
-    interval = (a, b) with a float a; b and tol may be 1-D arrays, one
-    integral per entry, and then value and estimate are arrays.  f takes
-    one 2-D array of nodes, whose row i holds nodes of integral i only,
-    and returns f there.  Both endpoints must be finite: an infinite one
-    raises DomainError.  Truncate a decaying integrand where its tail is
-    negligible instead.
+    b and tol are 1-D float arrays of one length, one integral per entry,
+    with each b_i finite and positive and each tol_i positive; anything
+    else raises DomainError.  f takes one 2-D array of nodes, whose row i
+    holds nodes of integral i only, and returns f there.  Truncate a
+    decaying integrand where its tail is negligible.
 
     Each integral starts from 8 equal panels.  In each round, an integral
     whose error exceeds its tol splits every panel whose squared error is
     at least an even share of its total, and all new panels of the round
-    go to f in one call.  Returns (value, error_estimate); raises
+    go to f in one call.  Returns (value, error_estimate) arrays; raises
     AccuracyError when an integral would need more than 4000 panels.
     """
-    scalar = np.ndim(interval[1]) == 0 and np.ndim(tol) == 0
-    a = float(interval[0])
-    b = np.array(interval[1], dtype=float, ndmin=1)
-    tol = np.asarray(tol, dtype=float)
-    if not (math.isfinite(a) and ((b > a) & (b < math.inf) & (tol > 0.0)).all()):
-        _reject(a, b, np.broadcast_to(tol, b.shape))
+    b, tol = np.asarray(b, dtype=float), np.asarray(tol, dtype=float)
+    if b.ndim != 1 or b.shape != tol.shape:
+        raise DomainError(f"quad_adaptive: b and tol must be 1-D arrays of one "
+                          f"length, not shapes {b.shape} and {tol.shape}")
+    bad = ~((b > 0.0) & (b < math.inf) & (tol > 0.0))
+    if bad.any():
+        i = np.argmax(bad)
+        raise DomainError(f"quad_adaptive: integral {i} needs 0 < b < inf and "
+                          f"tol > 0, not b = {b[i]}, tol = {tol[i]}")
 
     # Row i holds integral i's panels (centre, half-width, value, error,
     # integral of |f|), one block of columns per round.  A split panel's
@@ -485,9 +478,9 @@ def quad_adaptive(f, interval, tol):
     # below ~1e-154 would underflow to 0 and pass any tol.  Capped at
     # 1e150, their squares sum without overflow over any panel count.
     n = b.size
-    row_tol = tol[..., None]
-    half = ((b - a) / (2 * _PANELS0))[:, None]
-    centre = a + half * _ODD
+    row_tol = tol[:, None]
+    half = (b / (2 * _PANELS0))[:, None]
+    centre = half * _ODD
     half = np.repeat(half, _PANELS0, axis=1)
     count = np.full(n, _PANELS0)
     panels = None
@@ -511,9 +504,8 @@ def quad_adaptive(f, interval, tol):
         stuck = active & ((count > _PANEL_LIMIT) | (nsplit == 0))
         if stuck.any():
             i = np.argmax(stuck)
-            tol = np.broadcast_to(tol, b.shape)[i]
             raise AccuracyError(f"quad_adaptive: more than {_PANEL_LIMIT} segments needed, "
-                                f"error {math.sqrt(total[i]) * tol:.3e} > {tol:.3e}")
+                                f"error {math.sqrt(total[i]) * tol[i]:.3e} > {tol[i]:.3e}")
         # the split panels of each row first, in column order
         width = nsplit.max()
         pick = np.arange(n)[:, None], np.argsort(~split, axis=1, kind="stable")[:, :width]
@@ -524,8 +516,6 @@ def quad_adaptive(f, interval, tol):
     value = np.add.accumulate(values, 1)[:, -1]
     # rounding error adds linearly over the panels, not in quadrature
     err = np.sqrt(total) * tol + _ROUNDING * np.add.accumulate(absfs, 1)[:, -1]
-    if scalar:
-        return value[0].item(), float(err[0])
     return value, err
 
 

@@ -402,7 +402,7 @@ def test_k_quadrature_real_integrand_matches_the_complex_one():
         value, err = _k_quadrature(1j * w, X)
         ref, _ = quad_adaptive(
             lambda t: np.exp(-X[:, None] * np.cosh(t)) * np.cosh(1j * w * t),
-            (0.0, tmax), tol=1e-13 * np.exp(-X))
+            tmax, 1e-13 * np.exp(-X))
         assert np.all(np.abs(value - ref) <= 4.4e-16 * np.exp(-X) * tmax), w
 
 
@@ -655,6 +655,39 @@ def test_tiny_x_below_overflow_stays_finite():
     grid = recurrence_shift(BasisBranch.BESSEL_MINUS, 1.0, np.array([1e-307]))
     assert cmath.isfinite(point.value)
     assert abs(grid.value[0] - point.value) <= 1e-13 * abs(point.value)
+
+
+@pytest.mark.parametrize("X", [1e-307, 1e-308, 5e-310])
+def test_i_series_converges_where_its_sum_is_subnormal(X):
+    # I_{1 + 2i}(X) is about X/2: below about 5e-307 its 1e-17 underflows
+    # to 0, as does every term after the first, and the stop test must
+    # still take those terms as small.  J_nu(iX) = e^{i pi nu/2} I_nu(X)
+    w = 2.0
+    with mpmath.workdps(40):
+        def j(nu):
+            return mpmath.exp(0.5j * mpmath.pi * nu) * mpmath.besseli(nu, mpmath.mpf(X))
+
+        nu = mpmath.mpc(0, w)
+        refs = {(basis_G1, BasisBranch.BESSEL_PLUS): complex(j(nu)),
+                (basis_G1, BasisBranch.BESSEL_MINUS): complex(j(-nu)),
+                (recurrence_shift, BasisBranch.BESSEL_PLUS):
+                    complex(nu * j(nu) - 1j * mpmath.mpf(X) * j(nu + 1))}
+    # float and grid sum the same series, but the float's cmath.log of a
+    # subnormal X/2 can be an ulp of ln(X/2) ~ -710 off numpy's, which
+    # the phase (X/2)^{2i} turns into 2.3e-13 at X = 1e-308: they agree
+    # to two ulps of that phase
+    phase_ulps = 2 * 2.2e-16 * w * abs(math.log(0.5 * X))
+    for (kernel, branch), ref in refs.items():
+        point = kernel(branch, w, X).value
+        grid = kernel(branch, w, np.array([X])).value[0]
+        assert abs(grid - point) <= phase_ulps * abs(point), (kernel.__name__, branch)
+        assert abs(point - ref) <= 1e-12 * abs(ref), (kernel.__name__, branch)
+    # the order -1 - 2i I series overflows there: in J_{-1-2i} for
+    # bessel-, and in the reflection route of K_{1+2i} for the Hankels
+    for branch in (BasisBranch.BESSEL_MINUS, BasisBranch.HANKEL1, BasisBranch.HANKEL2):
+        for arg in (X, np.array([X])):
+            with pytest.raises(RangeError, match="overflows a double"):
+                recurrence_shift(branch, w, arg)
 
 
 # H2, N and wronskian_IK sum each I order once and hand it to K's
