@@ -32,14 +32,19 @@ Evaluation strategy:
 
 All five public kernels take a float or a 1-D array of X.  On a grid
 the same switches split X once, so each point takes the route it takes
-alone, and each route runs on its whole share of the grid, at most 32 X
-at a time: the I series and the asymptotic expansion
-as one (X x term) array (`_i_series_grid`, `_i_asymptotic`), the
-saddle-line rule as one (X x node) array (`_k_contour`), the reflection
-route from those I arrays, and the quadrature as one `quad_adaptive`
-call whose rounds each evaluate the new panels of every X in one
-(X x node) array.  Blocks of 32 keep the temporaries to about 1 MB and
-let each block size its term count from its own largest X.
+alone, and each route takes its whole share of the grid in one call.
+It sets the share up once (per order log Gamma(nu + 1) and the ratio or
+step row; per X the first term, the saddle line, step and node count,
+the prefactor, tmax) and then works through it at most 32 X at a time:
+the I series and the asymptotic expansion as one (X x term) array per
+block (`_i_series_grid`, `_i_asymptotic`), the saddle-line rule as one
+(X x node) array (`_k_contour`), the reflection route from those I
+arrays, and the quadrature as one `quad_adaptive` call per block whose
+rounds each evaluate the new panels of every X in one (X x node) array.
+Blocks of 32 keep the temporaries to about 1 MB and let each block size
+its term or node count from its own rows.  The series, asymptotic and
+quadrature blocks follow X order; the saddle-line rows go in blocks in
+order of node count, which does not follow X, so a block pads few rows.
 
 A float X on the saddle-line, asymptotic and quadrature routes runs the
 same block code on a one-element array, so each of those routes has one
@@ -71,7 +76,7 @@ the I series of order -1 - i w in `recurrence_shift`: on hankel1,
 hankel2 and neumann+ below X = 4.5e-307 at w = 2 and 1.2e-273 at w = 50,
 on bessel- below 3.0e-306 and 4.7e-240, and on neumann- below the
 larger of the two.  `basis_G1` and bessel+ stay finite down to
-X = 1e-323.
+X = 5e-324, the smallest positive double.
 
 All three K routes are kept callable so tests can compare them.
 """
@@ -202,27 +207,35 @@ def gamma_modulus_sq(omega: float) -> float:
 # grids: each route on its share of X, in blocks
 
 # X per block: bounds the (X x term) and (X x node) temporaries, and lets
-# each block size its term count from its own largest X
+# each block size its term or node count from its own rows
 _BLOCK = 32
 
 
 def _on_grid(nu: complex, X: np.ndarray, routes):
     """(value, err) arrays over X.  `routes` holds (mask, route, *rows)
-    entries; each route takes nu, at most _BLOCK of the X its mask selects,
-    and the same entries of each array in `rows`."""
+    entries; each route whose mask selects any X takes nu, those X and the
+    same entries of each array in `rows`."""
     value = np.empty(X.size, dtype=complex)
     err = np.empty(X.size)
     for mask, route, *rows in routes:
         share = np.flatnonzero(mask)
-        for lo in range(0, share.size, _BLOCK):
-            part = share[lo:lo + _BLOCK]
-            value[part], err[part] = route(nu, X[part], *(r[part] for r in rows))
+        if share.size:
+            value[share], err[share] = route(nu, X[share], *(r[share] for r in rows))
     return value, err
 
 
-def _at_float(block, nu: complex, X: float):
-    """A block route at one float X: a one-element block."""
-    value, err = block(nu, np.array([X]))
+def _in_blocks(block, size: int):
+    """(value, err) of `block(lo, hi)` over rows lo:hi of at most _BLOCK
+    rows each, in order, joined; one call when size fits a block."""
+    if size <= _BLOCK:
+        return block(0, size)
+    parts = [block(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _at_float(route, nu: complex, X: float):
+    """A grid route at one float X: a one-element share."""
+    value, err = route(nu, np.array([X]))
     return complex(value[0]), float(err[0])
 
 
@@ -231,11 +244,19 @@ def _at_float(block, nu: complex, X: float):
 
 _SERIES_SWITCH_X = 40.0
 
+# below twice the smallest normal double X/2 is subnormal, short of bits,
+# and 0 at X = 5e-324: ln(X/2) is formed as ln X - ln 2 there.  Above it
+# the float path keeps cmath.log, an ulp off math.log for X/2 in
+# [0.71, 1.73], so that its values keep their bits
+_X_HALF_SUBNORMAL = 2.0 * sys.float_info.min
+_LN_2 = math.log(2.0)
+
 
 def _i_series(nu: complex, X: float):
     """Ascending series sum_k (X/2)^{nu+2k} / (k! Gamma(nu+k+1)), stopped
     two terms after the first term at most 1e-17 of its partial sum."""
-    log_first = nu * cmath.log(0.5 * X) - log_gamma(nu + 1.0)
+    log_half = cmath.log(0.5 * X) if X >= _X_HALF_SUBNORMAL else math.log(X) - _LN_2
+    log_first = nu * log_half - log_gamma(nu + 1.0)
     if log_first.real > _LOG_DOUBLE_MAX:
         raise _overflow(X)
     term = cmath.exp(log_first)
@@ -256,64 +277,95 @@ def _i_series(nu: complex, X: float):
     raise AccuracyError(f"I series failed to converge (nu={nu}, X={X})")
 
 
+def _series_terms(X_max) -> int:
+    """Terms a series block sums: its rows stop by X/2 + 4.5 sqrt(X) + 8."""
+    return int(0.5 * X_max + 5.0 * math.sqrt(X_max)) + 12
+
+
 def _i_series_grid(nu: complex, X: np.ndarray):
-    """`_i_series` on a block of X: one (X x term) array of terms.
+    """`_i_series` on a share of X: (X x term) arrays of terms, a block of
+    rows at a time.
 
     Term k + 1 is the cumulative product of the ratios q/((k+1)(nu+k+1)),
     and each X's row stops where `_i_series` stops, two terms after its
-    first small term.  The term count is sized from the block's largest X
-    (the stop comes by X/2 + 4.5 sqrt(X) + 8).
+    first small term.  The first terms and the ratios' denominators are
+    formed once for the share; each block sizes its term count from its
+    own largest X.
     """
     q = 0.25 * X * X
-    log_first = nu * np.log(0.5 * X) - log_gamma(nu + 1.0)
-    if log_first.real.max() > _LOG_DOUBLE_MAX:
-        raise _overflow(float(X[np.argmax(log_first.real > _LOG_DOUBLE_MAX)]))
-    n = int(0.5 * X.max() + 5.0 * math.sqrt(X.max())) + 12
-    k = np.arange(n)
-    terms = np.empty((X.size, n + 1), dtype=complex)
-    terms[:, 0] = np.exp(log_first)
-    np.divide(q[:, None], (k + 1.0) * (nu + k + 1.0), out=terms[:, 1:])
-    np.cumprod(terms, axis=1, out=terms)
-    totals = np.cumsum(terms, axis=1)
-    size = np.abs(terms)
-    # <=, not <: below about 5e-307 the bound underflows to 0, and so
-    # does every later term.  The first term is its own sum, so it is
-    # small only if it is 0, and then so is every term
-    small = size <= 1e-17 * np.abs(totals)
-    # a row stops within the array if a small term leaves two after it
-    reached = small[:, :-2].any(axis=1)
-    if not reached.all():
-        bad = float(X[np.argmin(reached)])
-        raise AccuracyError(f"I series failed to converge (nu={nu}, X={bad})")
-    stop = np.argmax(small, axis=1) + 2
-    rows = np.arange(X.size)
-    # the largest term comes before the stop: past their peak the terms
-    # only shrink
-    biggest = size.max(axis=1)
-    return totals[rows, stop], size[rows, stop] + 1e-16 * biggest
+    half = 0.5 * X
+    if X.min() >= _X_HALF_SUBNORMAL:
+        log_half = np.log(half)
+    else:
+        tiny = X < _X_HALF_SUBNORMAL
+        log_half = np.log(np.where(tiny, X, half))
+        log_half[tiny] -= _LN_2
+    log_first = nu * log_half - log_gamma(nu + 1.0)
+    over = np.flatnonzero(log_first.real > _LOG_DOUBLE_MAX)
+    # the first row that overflows raises when its block comes; the rows
+    # before it are summed first, as a point-by-point loop sums them
+    end = over[0] if over.size else X.size
+    first = np.exp(log_first[:end])
+    k = np.arange(_series_terms(X.max()))
+    denominators = (k + 1.0) * (nu + k + 1.0)
+
+    def block(lo, hi):
+        if hi > end:
+            raise _overflow(float(X[end]))
+        n = _series_terms(X[lo:hi].max())
+        terms = np.empty((hi - lo, n + 1), dtype=complex)
+        terms[:, 0] = first[lo:hi]
+        np.divide(q[lo:hi, None], denominators[:n], out=terms[:, 1:])
+        np.cumprod(terms, axis=1, out=terms)
+        totals = np.cumsum(terms, axis=1)
+        size = np.abs(terms)
+        # <=, not <: below about 5e-307 the bound underflows to 0, and so
+        # does every later term.  The first term is its own sum, so it is
+        # small only if it is 0, and then so is every term
+        small = size <= 1e-17 * np.abs(totals)
+        # a row stops within the array if a small term leaves two after it
+        reached = small[:, :-2].any(axis=1)
+        if not reached.all():
+            bad = float(X[lo + np.argmin(reached)])
+            raise AccuracyError(f"I series failed to converge (nu={nu}, X={bad})")
+        stop = np.argmax(small, axis=1) + 2
+        rows = np.arange(hi - lo)
+        # the largest term comes before the stop: past their peak the terms
+        # only shrink
+        biggest = size.max(axis=1)
+        return totals[rows, stop], size[rows, stop] + 1e-16 * biggest
+
+    return _in_blocks(block, X.size)
 
 
 def _i_asymptotic(nu: complex, X: np.ndarray):
     """Large-argument expansion e^X/sqrt(2 pi X) * sum_k (-1)^k a_k(nu)/X^k
-    on a block of X: one (X x term) array of 61 terms.
+    on a share of X: (X x term) arrays of 61 terms, a block of rows at a
+    time.
 
     Each X's row stops at its first term that fails to shrink (dropped) or
     is below 1e-16 of the sum (kept).
     """
     k = np.arange(60)
     step = -(4.0 * nu * nu - (2 * k + 1.0) ** 2) / (8.0 * (k + 1.0))
-    terms = np.cumprod(np.concatenate(
-        (np.ones((X.size, 1)), step / X[:, None]), axis=1), axis=1)
-    totals = np.cumsum(terms, axis=1)
-    size = np.abs(terms)
-    grows = size[:, 1:] >= size[:, :-1]
-    done = grows | (size[:, 1:] < 1e-16 * np.abs(totals[:, 1:]))
-    # the first stopping term, or the last one if none stops the sum
-    stop = np.where(done.any(axis=1), np.argmax(done, axis=1), 59) + 1
-    rows = np.arange(X.size)
-    total = totals[rows, stop - grows[rows, stop - 1]]
     prefac = np.exp(X - 0.5 * np.log(2.0 * math.pi * X))
-    return prefac * total, prefac * size[rows, stop]
+
+    def block(lo, hi):
+        terms = np.empty((hi - lo, 61), dtype=complex)
+        terms[:, 0] = 1.0
+        np.divide(step, X[lo:hi, None], out=terms[:, 1:])
+        np.cumprod(terms, axis=1, out=terms)
+        totals = np.cumsum(terms, axis=1)
+        size = np.abs(terms)
+        grows = size[:, 1:] >= size[:, :-1]
+        done = grows | (size[:, 1:] < 1e-16 * np.abs(totals[:, 1:]))
+        # the first stopping term, or the last one if none stops the sum
+        stop = np.where(done.any(axis=1), np.argmax(done, axis=1), 59) + 1
+        rows = np.arange(hi - lo)
+        total = totals[rows, stop - grows[rows, stop - 1]]
+        return prefac[lo:hi] * total, prefac[lo:hi] * size[rows, stop]
+
+    return _in_blocks(block, X.size)
 
 
 def _bessel_I(nu: complex, X):
@@ -341,7 +393,7 @@ _K_QUAD_X_MIN = 0.1
 
 def _k_quadrature(nu: complex, X: np.ndarray):
     """Integral representation int_0^tmax e^{-X cosh t} cosh(nu t) dt on a
-    block of X: one quad_adaptive call, one integral per X."""
+    share of X: one integral per X, one quad_adaptive call per block."""
     r, w = nu.real, nu.imag
     # choose tmax so the truncated tail is below 1e-18 of the peak e^{-X}:
     # X (cosh tmax - 1) = 60 + (|r| + 1) tmax
@@ -350,24 +402,28 @@ def _k_quadrature(nu: complex, X: np.ndarray):
     for _ in range(4):
         tmax = np.arccosh(u + v * tmax)
     tol = 1e-13 * np.exp(-X)
-    X = X[:, None]
-    if r == 0.0:
-        # cosh(i w t) = cos(w t): a real integrand
-        def integrand(t):
-            return np.exp(-X * np.cosh(t)) * np.cos(w * t)
-    else:
-        # cosh(nu t) = cosh(r t) cos(w t) + i sinh(r t) sin(w t) in real
-        # ufuncs: numpy's complex cosh takes about 1.7x as long per node
-        def integrand(t):
-            e = np.exp(-X * np.cosh(t))
-            return (e * np.cosh(r * t) * np.cos(w * t)
-                    + 1j * (e * np.sinh(r * t) * np.sin(w * t)))
 
-    try:
-        return quad_adaptive(integrand, tmax, tol)
-    except AccuracyError as exc:
-        raise AccuracyError(f"K quadrature did not converge (nu={nu}, X from "
-                            f"{X.min()} to {X.max()})") from exc
+    def block(lo, hi):
+        Xb = X[lo:hi, None]
+        if r == 0.0:
+            # cosh(i w t) = cos(w t): a real integrand
+            def integrand(t):
+                return np.exp(-Xb * np.cosh(t)) * np.cos(w * t)
+        else:
+            # cosh(nu t) = cosh(r t) cos(w t) + i sinh(r t) sin(w t) in real
+            # ufuncs: numpy's complex cosh takes about 1.7x as long per node
+            def integrand(t):
+                e = np.exp(-Xb * np.cosh(t))
+                return (e * np.cosh(r * t) * np.cos(w * t)
+                        + 1j * (e * np.sinh(r * t) * np.sin(w * t)))
+
+        try:
+            return quad_adaptive(integrand, tmax[lo:hi], tol[lo:hi])
+        except AccuracyError as exc:
+            raise AccuracyError(f"K quadrature did not converge (nu={nu}, X from "
+                                f"{Xb.min()} to {Xb.max()})") from exc
+
+    return _in_blocks(block, X.size)
 
 
 def _k_reflection(nu: complex, X, ip=None, ep=None):
@@ -400,9 +456,11 @@ def _k_contour(nu: complex, X: np.ndarray):
     K_nu = 1/2 e^{-a - w c} e^{i r c}
            int e^{-a (cosh s - 1) + r s} e^{i w (s - sinh s)} ds,
     whose integrand is analytic for |Im s| < pi/2 - |c| and cancels nowhere.
-    X is a block: one (X x node) array, each row zeroed past its own node
-    count.  Rows are summed in order (np.add.accumulate): numpy's pairwise
-    sum would group a row's terms by the block's largest node count.
+    X is a share: each row's line, step and node count are set up once,
+    then the rows go in blocks in order of node count, each block one
+    (X x node) array, each row zeroed past its own node count.  Rows are
+    summed in order (np.add.accumulate): numpy's pairwise sum would group
+    a row's terms by the block's largest node count.
     """
     r, w = nu.real, nu.imag
     c = np.arcsin(w / X)
@@ -416,25 +474,45 @@ def _k_contour(nu: complex, X: np.ndarray):
         smax = np.arccosh(1.0 + (41.5 + abs(r) * smax) / a)
     n = np.ceil(smax / h)
     prefactor = 0.5 * h * np.exp(-a - w * c)
-    k = np.arange(n.max() + 1.0)
-    a, h, n = a[:, None], h[:, None], n[:, None]
-    if r == 0.0:
-        # f(-s) = conj f(s): the sum is real, twice the half-line sum less f(0)
-        s = h * k
-        f = np.where(k <= n, np.exp(-a * (np.cosh(s) - 1.0))
-                     * np.cos(w * (s - np.sinh(s))), 0.0)
-        total = 2.0 * np.add.accumulate(f, 1)[:, -1] - f[:, 0]
-        abs_total = 2.0 * np.add.accumulate(np.abs(f), 1)[:, -1] - np.abs(f[:, 0])
-    else:
+    # a row's sum runs over its own nodes, so blocks of like node counts
+    # pad less and give the same bits in any order.  The widest block goes
+    # first, so the later blocks' temporaries fit in the memory it frees.
+    # As int16 keys the counts take numpy's radix sort, faster here than a
+    # float sort and lighter on resident code; they stay below 2^15 (15045
+    # at X = 1.05e-300 next to the turning point)
+    order = (np.argsort(n.astype(np.int16), kind="stable")[::-1] if X.size > _BLOCK
+             else slice(None))
+    a_rows, h_rows, n_rows = a[order, None], h[order, None], n[order, None]
+
+    def block(lo, hi):
+        a, h, n = a_rows[lo:hi], h_rows[lo:hi], n_rows[lo:hi]
+        k = np.arange(n.max() + 1.0)
+        if r == 0.0:
+            # f(-s) = conj f(s): the sum is real, twice the half-line sum
+            # less f(0)
+            s = h * k
+            f = np.where(k <= n, np.exp(-a * (np.cosh(s) - 1.0))
+                         * np.cos(w * (s - np.sinh(s))), 0.0)
+            return (2.0 * np.add.accumulate(f, 1)[:, -1] - f[:, 0],
+                    2.0 * np.add.accumulate(np.abs(f), 1)[:, -1] - np.abs(f[:, 0]))
         k = np.concatenate((-k[:0:-1], k))
         s = h * k
         f = np.where(np.abs(k) <= n, np.exp(-a * (np.cosh(s) - 1.0) + r * s
                                             + 1j * (w * (s - np.sinh(s)))), 0.0)
-        total = np.add.accumulate(f, 1)[:, -1] * np.exp(1j * r * c)
-        abs_total = np.add.accumulate(np.abs(f), 1)[:, -1]
+        # copies: a view would keep the block's (X x node) running sums
+        # alive until the share is joined
+        return (np.add.accumulate(f, 1)[:, -1].copy(),
+                np.add.accumulate(np.abs(f), 1)[:, -1].copy())
+
+    total, abs_total = _in_blocks(block, X.size)
+    if X.size > _BLOCK:
+        # back from node-count order to X order
+        total[order], abs_total[order] = total.copy(), abs_total.copy()
+    if r != 0.0:
+        total = total * np.exp(1j * r * c)
     value = prefactor * total
     err = 2.2e-16 * (4.0 * prefactor * abs_total
-                     + (2.0 + a[:, 0] + np.abs(w * c)) * np.abs(value))
+                     + (2.0 + a + np.abs(w * c)) * np.abs(value))
     return value, err
 
 

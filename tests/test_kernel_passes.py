@@ -100,6 +100,18 @@ def test_each_i_order_is_summed_once_per_call(cell):
         assert got == _EXPECTED[label][cell], label
 
 
+def test_a_grid_of_many_blocks_calls_each_route_once_per_share():
+    # 201 X over the 3-point cell's range: each route takes its whole
+    # share in one call and blocks it itself, so the counts are the 3-point
+    # cell's
+    omega, X = _CELLS[-1]
+    grid = tuple(np.geomspace(X[0], X[-1], 201).tolist())
+    for label, call in _calls(omega, grid):
+        counts = route_calls(call)
+        got = (counts["I series"], counts["K quadrature"], counts["K contour"])
+        assert got == _EXPECTED[label][-1], label
+
+
 def test_counting_restores_the_routes():
     before = {name: getattr(specfun, name) for name in _ROUTES}
     route_calls(lambda: wronskian_IK(2.0, 1.0))
